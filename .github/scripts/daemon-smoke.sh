@@ -60,7 +60,14 @@ jq -e '
 curl -sf "$BASE/metrics" > daemon-metrics.txt
 .github/scripts/check-metric-families.sh daemon-metrics.txt \
   overlay_epochs_total overlay_stream_slo_availability \
-  overlay_lp_ft_updates_total overlay_lp_refactorizations_total
+  overlay_lp_ft_updates_total overlay_lp_refactorizations_total \
+  overlay_churn_viewers_total
+# The daemon's epochs run through the live engine, which feeds the per-epoch
+# families: one epoch-wall observation per solve, and churn samples.
+SOLVES=$(curl -sf "$BASE/status" | jq '.totals.solves')
+WALL_COUNT=$(awk '$1 == "overlay_epoch_wall_seconds_count" {print $2}' daemon-metrics.txt)
+test "$WALL_COUNT" = "$SOLVES"
+grep -q '^overlay_churn_viewers_total ' daemon-metrics.txt
 
 kill -TERM "$OD"
 wait "$OD"

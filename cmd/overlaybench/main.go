@@ -657,27 +657,19 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		sopts.Aggregate = &agg.Config{}
 		sopts.IncrementalLP = true
 		sopts.Obs = &obs.Observer{Reg: sreg}
-		sess := core.NewSession(sopts, 0, true)
+		eng := live.NewEngine(in, core.NewSession(sopts, 0, true),
+			live.NewSLOTracker(0, 0, nil, in.Commodity), sopts.Obs)
 		epoch := func(d *netmodel.Delta) error {
+			var ds []netmodel.Delta
 			if d != nil {
-				ds, err := d.Apply(in)
-				if err != nil {
-					return err
-				}
-				sess.Observe(ds)
+				ds = append(ds, *d)
 			}
-			start := time.Now()
-			r, err := sess.Step(in)
+			er, _, err := eng.Step(ds)
 			if err != nil {
 				return err
 			}
-			wall := time.Since(start).Nanoseconds()
-			if wall > row.MaxEpochWallNS {
-				row.MaxEpochWallNS = wall
-			}
-			if r.Patch != nil {
-				row.Patches += r.Patch.Patches()
-			}
+			row.MaxEpochWallNS = max(row.MaxEpochWallNS, er.WallNS)
+			row.Patches += er.LPPatches
 			row.Epochs++
 			return nil
 		}

@@ -48,65 +48,32 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/daemon"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/netmodel"
+	"repro/internal/solverflags"
 )
-
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
 
 func main() {
 	var (
-		listen     = flag.String("listen", ":8080", "serve the HTTP API on this address")
-		instPath   = flag.String("instance", "", "boot from this netmodel instance JSON file")
-		scenario   = flag.String("scenario", "", "boot from this scenario's base instance instead of -instance: "+strings.Join(live.Names(), "|"))
-		seed       = flag.Uint64("seed", 1, "solver seed (and -scenario topology seed)")
-		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount, in [0,1); 0 disables stickiness")
-		warm       = flag.Bool("warm", true, "warm-start each solve from the previous basis")
-		incr       = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas instead of rebuilding it")
-		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state")
-		levels     = flag.Int("shard-levels", 0, "2: hierarchical dual-price exchange coordination")
-		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every solve")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
-		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto)")
-		interval   = flag.Duration("interval", 0, "re-optimization cadence (0 = solve only under pressure or POST /solve)")
-		pressure   = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
-		snapPath   = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
-		snapEvery  = flag.Int("snapshot-every", 0, "additionally snapshot after every n-th solve (0 = shutdown/POST only)")
-		resume     = flag.Bool("resume", false, "resume warm from the -snapshot file when it exists")
-		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
-		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available")
+		listen    = flag.String("listen", ":8080", "serve the HTTP API on this address")
+		instPath  = flag.String("instance", "", "boot from this netmodel instance JSON file")
+		scenario  = flag.String("scenario", "", "boot from this scenario's base instance instead of -instance: "+strings.Join(live.Names(), "|"))
+		seed      = flag.Uint64("seed", 1, "solver seed (and -scenario topology seed)")
+		warm      = flag.Bool("warm", true, "warm-start each solve from the previous basis")
+		incr      = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas instead of rebuilding it")
+		interval  = flag.Duration("interval", 0, "re-optimization cadence (0 = solve only under pressure or POST /solve)")
+		pressure  = flag.Int("pressure", 64, "queued delta edits that force an immediate solve (negative disables)")
+		snapPath  = flag.String("snapshot", "", "snapshot file: written on SIGTERM, POST /snapshot and every -snapshot-every solves")
+		snapEvery = flag.Int("snapshot-every", 0, "additionally snapshot after every n-th solve (0 = shutdown/POST only)")
+		resume    = flag.Bool("resume", false, "resume warm from the -snapshot file when it exists")
+		sloWindow = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
+		sloTarget = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available")
+		solver    = solverflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	if (*instPath == "") == (*scenario == "") {
 		usage("exactly one of -instance or -scenario must be given")
-	}
-	if *stickiness < 0 || *stickiness >= 1 {
-		usage("-stickiness must be in [0,1), got %g", *stickiness)
-	}
-	if *shards < 0 {
-		usage("-shards must be ≥ 0, got %d", *shards)
-	}
-	if *levels < 0 || *levels > 2 {
-		usage("-shard-levels must be 0/1 (flat) or 2 (hierarchical), got %d", *levels)
-	}
-	if *levels >= 2 && *shards < 2 {
-		usage("-shard-levels 2 requires -shards ≥ 2")
-	}
-	if *refEv < 0 {
-		usage("-refactor-every must be ≥ 0, got %d", *refEv)
 	}
 	if *interval < 0 {
 		usage("-interval must be ≥ 0")
@@ -117,13 +84,8 @@ func main() {
 	if (*snapEvery > 0 || *resume) && *snapPath == "" {
 		usage("-resume/-snapshot-every need -snapshot")
 	}
-	pr, err := parsePricing(*pricing)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := daemon.Config{
-		Stickiness:    *stickiness,
+		Stickiness:    solver.Stickiness,
 		WarmStart:     *warm,
 		SolveInterval: *interval,
 		Pressure:      *pressure,
@@ -134,18 +96,17 @@ func main() {
 	}
 	cfg.Solver.Seed = *seed
 	cfg.Solver.IncrementalLP = *incr
-	cfg.Solver.Shards = *shards
-	cfg.Solver.ShardLevels = *levels
-	cfg.Solver.Pricing = pr
-	cfg.Solver.RefactorEvery = *refEv
-	if *aggr {
-		cfg.Solver.Aggregate = &agg.Config{}
+	if err := solver.Apply(&cfg.Solver); err != nil {
+		usage("%v", err)
 	}
 
 	// Boot order: a resumable snapshot wins (warm restart); otherwise the
 	// instance file or the scenario's base topology (cold start, epoch 0
 	// provisioned before the listener opens).
-	var d *daemon.Daemon
+	var (
+		d   *daemon.Daemon
+		err error
+	)
 	switch {
 	case *resume && fileExists(*snapPath):
 		snap, lerr := daemon.LoadSnapshot(*snapPath)
@@ -194,7 +155,8 @@ func main() {
 		ln.Addr(), st.Epoch, st.Policy)
 
 	// The solver loop owns the timeline; its exit (ctx cancel → final
-	// snapshot, or a solve error) tears the listener down.
+	// snapshot) tears the listener down. A failed solve does not end it:
+	// the daemon logs it, reports degraded health and retries.
 	runErr := make(chan error, 1)
 	go func() { runErr <- d.Run(ctx) }()
 

@@ -52,52 +52,33 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/obs"
+	"repro/internal/solverflags"
 	"repro/internal/stats"
 )
 
-// parsePricing maps the -pricing flag to the solver's pricing rules.
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
-
 func main() {
 	var (
-		scenario   = flag.String("scenario", "flashcrowd", "scenario: "+strings.Join(live.Names(), "|"))
-		epochs     = flag.Int("epochs", 50, "timeline length in epochs")
-		seed       = flag.Uint64("seed", 1, "scenario seed (events, topology, rounding)")
-		policy     = flag.String("policy", "both", "re-provisioning policy: cold|warm|both")
-		stickiness = flag.Float64("stickiness", 0.4, "deployed-design cost discount for the warm policy, in [0,1)")
-		shards     = flag.Int("shards", 0, "≥2: sharded per-epoch solves with per-shard warm state (internal/shard)")
-		levels     = flag.Int("shard-levels", 0, "2: hierarchical dual-price exchange coordination (super-shards over the cost-anchor leaves)")
-		aggr       = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before every epoch's LP (internal/agg)")
-		simPkts    = flag.Int("sim", 0, "packets per simulated epoch (0 = no packet sim)")
-		simEvery   = flag.Int("simevery", 1, "simulate every n-th epoch")
-		jsonPath   = flag.String("json", "", "write the full report as JSON to this file")
-		verbose    = flag.Bool("v", false, "print every epoch (default: only event epochs)")
-		incr       = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas (lp-patch) instead of rebuilding it")
-		record     = flag.String("record", "", "serialize the scenario (base instance + timed delta schedule) as JSON to this file")
-		replay     = flag.String("replay", "", "run a scenario recorded with -record instead of building one (-scenario/-epochs/-seed ignored)")
-		sloWindow  = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
-		sloTarget  = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
-		pricing    = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
-		refEv      = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
-		listen     = flag.String("listen", "", "serve live telemetry on this address during the run: /metrics, /healthz, /slo, /debug/vars, /debug/pprof")
-		tracePath  = flag.String("trace", "", "write the hierarchical solve trace (epoch → stage → shard → simplex events) as JSONL to this file")
-		flame      = flag.Bool("flame", false, "print an aggregated flame summary of the solve trace after the run (implies tracing)")
-		pace       = flag.Duration("pace", 0, "sleep this long after every epoch — keeps a short -listen run scrapeable mid-flight")
-		hold       = flag.Duration("hold", 0, "keep the -listen server up this long after the timeline finishes")
+		scenario  = flag.String("scenario", "flashcrowd", "scenario: "+strings.Join(live.Names(), "|"))
+		epochs    = flag.Int("epochs", 50, "timeline length in epochs")
+		seed      = flag.Uint64("seed", 1, "scenario seed (events, topology, rounding)")
+		policy    = flag.String("policy", "both", "re-provisioning policy: cold|warm|both")
+		simPkts   = flag.Int("sim", 0, "packets per simulated epoch (0 = no packet sim)")
+		simEvery  = flag.Int("simevery", 1, "simulate every n-th epoch")
+		jsonPath  = flag.String("json", "", "write the full report as JSON to this file")
+		verbose   = flag.Bool("v", false, "print every epoch (default: only event epochs)")
+		incr      = flag.Bool("incremental", true, "patch the LP in place from each epoch's deltas (lp-patch) instead of rebuilding it")
+		record    = flag.String("record", "", "serialize the scenario (base instance + timed delta schedule) as JSON to this file")
+		replay    = flag.String("replay", "", "run a scenario recorded with -record instead of building one (-scenario/-epochs/-seed ignored)")
+		sloWindow = flag.Int("slowindow", 8, "availability SLO sliding window, in epochs")
+		sloTarget = flag.Float64("slotarget", 0.5, "fraction of active sinks that must meet their threshold for an epoch to count as available (raise toward 1 with -repair-style solvers)")
+		listen    = flag.String("listen", "", "serve live telemetry on this address during the run: /metrics, /healthz, /slo, /debug/vars, /debug/pprof")
+		tracePath = flag.String("trace", "", "write the hierarchical solve trace (epoch → stage → shard → simplex events) as JSONL to this file")
+		flame     = flag.Bool("flame", false, "print an aggregated flame summary of the solve trace after the run (implies tracing)")
+		pace      = flag.Duration("pace", 0, "sleep this long after every epoch — keeps a short -listen run scrapeable mid-flight")
+		hold      = flag.Duration("hold", 0, "keep the -listen server up this long after the timeline finishes")
+		solver    = solverflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	// Flag validation: malformed requests are usage errors (exit 2), caught
@@ -106,17 +87,13 @@ func main() {
 	if *replay == "" && *epochs <= 0 {
 		usage("-epochs must be positive, got %d", *epochs)
 	}
-	if *shards < 0 {
-		usage("-shards must be ≥ 0, got %d", *shards)
+	cfg := live.Config{
+		SimPackets: *simPkts, SimEvery: *simEvery,
+		NoIncremental: !*incr,
+		SLOWindow:     *sloWindow, SLOTarget: *sloTarget,
 	}
-	if *levels < 0 || *levels > 2 {
-		usage("-shard-levels must be 0/1 (flat) or 2 (hierarchical), got %d", *levels)
-	}
-	if *levels >= 2 && *shards < 2 {
-		usage("-shard-levels 2 requires -shards ≥ 2")
-	}
-	if *refEv < 0 {
-		usage("-refactor-every must be ≥ 0, got %d", *refEv)
+	if err := solver.Apply(&cfg.Solver); err != nil {
+		usage("%v", err)
 	}
 	if *pace < 0 || *hold < 0 {
 		usage("-pace and -hold must be ≥ 0")
@@ -124,12 +101,10 @@ func main() {
 	if *listen == "" && (*pace > 0 || *hold > 0) {
 		usage("-pace/-hold only make sense with -listen (they exist to keep the telemetry endpoint scrapeable)")
 	}
-	pr, err := parsePricing(*pricing)
-	if err != nil {
-		fatal(err)
-	}
-
-	var sc *live.Scenario
+	var (
+		sc  *live.Scenario
+		err error
+	)
 	if *replay != "" {
 		f, ferr := os.Open(*replay)
 		if ferr != nil {
@@ -158,7 +133,7 @@ func main() {
 	}
 	var policies []live.Policy
 	warm := live.WarmStickyPolicy()
-	warm.Stickiness = *stickiness
+	warm.Stickiness = solver.Stickiness
 	switch *policy {
 	case "cold":
 		policies = []live.Policy{live.ColdPolicy()}
@@ -168,19 +143,6 @@ func main() {
 		policies = []live.Policy{live.ColdPolicy(), warm}
 	default:
 		fatal(fmt.Errorf("unknown policy %q (want cold|warm|both)", *policy))
-	}
-
-	cfg := live.Config{
-		SimPackets: *simPkts, SimEvery: *simEvery,
-		NoIncremental: !*incr,
-		SLOWindow:     *sloWindow, SLOTarget: *sloTarget,
-	}
-	cfg.Solver.Shards = *shards
-	cfg.Solver.ShardLevels = *levels
-	cfg.Solver.Pricing = pr
-	cfg.Solver.RefactorEvery = *refEv
-	if *aggr {
-		cfg.Solver.Aggregate = &agg.Config{}
 	}
 
 	// Observability surfaces. The registry backs -listen's /metrics; the
@@ -240,41 +202,12 @@ func main() {
 		c := cfg
 		c.Policy = p
 		pname := p.Name
-		breaches, minWin := 0, 1.0
-		c.OnEpoch = func(er live.EpochReport) {
-			if !er.SLOOk {
-				breaches++
-			}
-			if er.SLOWindowFrac < minWin {
-				minWin = er.SLOWindowFrac
-			}
+		c.OnEpoch = func(er live.EpochReport, slo *live.SLOTracker) {
 			if server != nil {
-				server.SetHealth(obs.HealthStatus{
-					OK: er.AuditOK, Running: true,
-					Scenario: sc.Name, Policy: pname,
-					Epoch: er.Epoch, Epochs: sc.Epochs,
-					AuditOK: er.AuditOK, SLOOk: er.SLOOk,
-				})
-				regions := make([]obs.RegionSLO, 0, len(er.Regions))
-				for _, ra := range er.Regions {
-					regions = append(regions, obs.RegionSLO{
-						Region: ra.Region, Active: ra.Active, Met: ra.Met,
-						Frac: ra.Frac, WindowFrac: ra.WindowFrac,
-					})
-				}
-				streams := make([]obs.StreamSLO, 0, len(er.Streams))
-				for _, sa := range er.Streams {
-					streams = append(streams, obs.StreamSLO{
-						Stream: sa.Stream, Active: sa.Active, Met: sa.Met,
-						Frac: sa.Frac, WindowFrac: sa.WindowFrac,
-					})
-				}
-				server.SetSLO(obs.SLOStatus{
-					Window: *sloWindow, Target: *sloTarget,
-					Ok: er.SLOOk, WindowFrac: er.SLOWindowFrac,
-					Breaches: breaches, MinWindowFrac: minWin,
-					Regions: regions, Streams: streams,
-				})
+				health, sl := live.Telemetry(er, slo)
+				health.Scenario, health.Policy, health.Epochs = sc.Name, pname, sc.Epochs
+				server.SetHealth(health)
+				server.SetSLO(sl)
 			}
 			if *pace > 0 {
 				time.Sleep(*pace)

@@ -6,7 +6,8 @@
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
 //	             [-greedy] [-exact] [-lp-only] [-shards 8] [-shard-levels 2]
 //	             [-json report.json] [-pricing devex|dantzig|partial]
-//	             [-refactor-every N]
+//	             [-refactor-every N] [-aggregate] [-prior design.json]
+//	             [-stickiness 0.4]
 //
 // -greedy and -exact run the baseline / exact IP solver instead of the
 // LP-rounding algorithm (exact is exponential: tiny instances only).
@@ -29,23 +30,10 @@ import (
 	"repro/internal/bnb"
 	"repro/internal/core"
 	"repro/internal/greedy"
-	"repro/internal/lp"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
+	"repro/internal/solverflags"
 )
-
-// parsePricing maps the -pricing flag to the solver's pricing rules.
-func parsePricing(s string) (lp.Pricing, error) {
-	switch s {
-	case "devex":
-		return lp.DevexPricing, nil
-	case "dantzig":
-		return lp.DantzigPricing, nil
-	case "partial":
-		return lp.PartialPricing, nil
-	}
-	return 0, fmt.Errorf("unknown pricing %q (want devex|dantzig|partial)", s)
-}
 
 func main() {
 	var (
@@ -58,20 +46,15 @@ func main() {
 		lpOnly  = flag.Bool("lp-only", false, "solve the LP relaxation only")
 		repair  = flag.Bool("repair", false, "top coverage up to full demand after rounding (§7 heuristic)")
 		prior   = flag.String("prior", "", "prior design JSON for churn-aware re-solve (§1.3)")
-		sticky  = flag.Float64("stickiness", 0.5, "cost discount on prior arcs during re-solve, in [0,1)")
-		shards  = flag.Int("shards", 0, "≥2: solve one LP per commodity-region shard in parallel (internal/shard)")
-		levels  = flag.Int("shard-levels", 0, "2: fold shards into super-shards and clear capacity with the hierarchical dual-price exchange")
-		aggr    = flag.Bool("aggregate", false, "fold viewers into weighted super-sinks before the LP and disaggregate after (internal/agg)")
 		aggColo = flag.Int("agg-colo", 0, "≥2: group aggregates by cost-anchor COLO of this many reflectors instead of per reflector (caps the fold at R/N labels; needs -aggregate)")
 		jsonOut = flag.String("json", "", "write a machine-readable solve report (stages, audit, shard counters) here")
 		stages  = flag.Bool("stages", false, "print the per-stage pipeline instrumentation (lp-build/lp-patch/lp-solve/... wall and run counts)")
-		pricing = flag.String("pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
-		refEv   = flag.Int("refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 		trace   = flag.String("trace", "", "write the hierarchical solve trace (stages, shards, simplex events) as JSONL to this file")
+		solver  = solverflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
-	pr, err := parsePricing(*pricing)
-	if err != nil {
+	opts := core.DefaultOptions(*seed)
+	if err := solver.Apply(&opts); err != nil {
 		fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 		os.Exit(2)
 	}
@@ -84,23 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "overlaysolve: -json requires a full LP-rounding solve (not -greedy/-exact/-lp-only)")
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -shards %d is negative (want 0, or ≥ 2 to shard)\n", *shards)
-		os.Exit(2)
-	}
-	if *levels < 0 || *levels > 2 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -shard-levels %d out of range (want 0/1 = flat coordination, 2 = hierarchical exchange)\n", *levels)
-		os.Exit(2)
-	}
-	if *levels >= 2 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "overlaysolve: -shard-levels 2 requires -shards ≥ 2")
-		os.Exit(2)
-	}
-	if *refEv < 0 {
-		fmt.Fprintf(os.Stderr, "overlaysolve: -refactor-every %d is negative (want 0 = auto, or a pivot cadence)\n", *refEv)
-		os.Exit(2)
-	}
-	if *aggr && (*useG || *useX) {
+	if solver.Aggregate && (*useG || *useX) {
 		fmt.Fprintln(os.Stderr, "overlaysolve: -aggregate requires the LP pipeline (not -greedy/-exact)")
 		os.Exit(2)
 	}
@@ -108,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "overlaysolve: -agg-colo %d out of range (want 0 = per-reflector anchors, or ≥ 2 reflectors per colo)\n", *aggColo)
 		os.Exit(2)
 	}
-	if *aggColo >= 2 && !*aggr {
+	if *aggColo >= 2 && !solver.Aggregate {
 		fmt.Fprintln(os.Stderr, "overlaysolve: -agg-colo requires -aggregate")
 		os.Exit(2)
 	}
@@ -146,20 +113,12 @@ func main() {
 		fmt.Printf("exact IP: cost %.4f (optimal=%v, %d nodes) in %v\n",
 			res.Cost, res.Optimal, res.Nodes, time.Since(start).Round(time.Millisecond))
 	default:
-		opts := core.DefaultOptions(*seed)
 		opts.C = *c
 		opts.LPOnly = *lpOnly
 		opts.RepairCoverage = *repair
-		opts.Shards = *shards
-		opts.ShardLevels = *levels
-		if *aggr {
-			opts.Aggregate = &agg.Config{}
-			if *aggColo >= 2 {
-				opts.Aggregate.GroupOf = agg.ColoGroups(in, *aggColo)
-			}
+		if *aggColo >= 2 {
+			opts.Aggregate.GroupOf = agg.ColoGroups(in, *aggColo)
 		}
-		opts.Pricing = pr
-		opts.RefactorEvery = *refEv
 		// A trace-only observer: spans for every pipeline stage, per-shard
 		// solve, and simplex event, with no metrics registry attached.
 		var tracer *obs.Tracer
@@ -186,7 +145,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 				os.Exit(1)
 			}
-			re, err := core.Reoptimize(in, priorDesign, *sticky, opts)
+			re, err := core.Reoptimize(in, priorDesign, solver.Stickiness, opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "overlaysolve: %v\n", err)
 				os.Exit(1)

@@ -36,8 +36,9 @@ func main() {
 	cfg := live.Config{
 		Policy: live.WarmStickyPolicy(),
 		Obs:    &obs.Observer{Reg: reg, Tr: obs.NewTracer(&trace)},
-		OnEpoch: func(er live.EpochReport) {
-			// The CLI uses this hook to refresh /healthz and /slo.
+		OnEpoch: func(er live.EpochReport, _ *live.SLOTracker) {
+			// The CLI uses this hook to refresh /healthz and /slo
+			// (live.Telemetry turns the report and tracker into both).
 			if len(er.Events) > 0 {
 				fmt.Printf("epoch %2d: %-38s cost %.1f, %d pivots, SLO window %.0f%%\n",
 					er.Epoch, strings.Join(er.Events, "; "), er.TrueCost, er.Pivots, 100*er.SLOWindowFrac)

@@ -24,10 +24,13 @@ import (
 //     fresh Build IS the matrix the factorization was taken from, and the
 //     first post-restore warm start adopts it Forrest–Tomlin-style exactly
 //     like an uninterrupted epoch would (lp.SolveStats.FTUpdates fires);
-//   - the stickiness bias is deliberately absent: a restored session starts
-//     with no bias history, and the first Step's DiffDesigns(nil, prior)
-//     re-patches exactly the deployed design's discounted cells, restoring
-//     the biased objective value-for-value.
+//   - the stickiness bias restores from Bias, the design whose arcs the
+//     persisted LP discounts (it lags the deployed design by one epoch):
+//     the rebuilt Problem carries the same discount, so the first Step
+//     patches exactly the cells the uninterrupted session would. A
+//     checkpoint without Bias restores with no bias history, and that Step
+//     re-patches every discounted cell instead — same objective, more
+//     cells.
 //
 // The sharded solve state (partition, capacity split, per-shard bases) is
 // intentionally not checkpointed: it is a performance cache that the next
@@ -39,6 +42,7 @@ type SessionState struct {
 	Basis    *lp.BasisData    `json:"basis,omitempty"`
 	Agg      *agg.StateData   `json:"agg,omitempty"`
 	AggPrior *netmodel.Design `json:"agg_prior,omitempty"`
+	Bias     *netmodel.Design `json:"bias,omitempty"`
 }
 
 // ExportState captures the session's resumable state. The export is a deep
@@ -58,6 +62,9 @@ func (s *Session) ExportState() *SessionState {
 	}
 	if s.aggPrior != nil {
 		st.AggPrior = s.aggPrior.Clone()
+	}
+	if s.lastBias != nil {
+		st.Bias = s.lastBias.Clone()
 	}
 	return st
 }
@@ -138,13 +145,22 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		s.prior = st.Prior.Clone()
 	}
 
+	if st.Bias != nil && stickiness > 0 {
+		if err := checkDesignShape("bias", plane, st.Bias); err != nil {
+			return nil, err
+		}
+		s.lastBias = st.Bias.Clone()
+	}
+
 	if st.Basis != nil && warmStart && s.opts.Shards < 2 {
 		var p *lp.Problem
 		if s.patcher != nil {
-			// Rebuild the persistent Problem the session will keep patching.
-			// The basis binds to this exact Problem, so the next Step's
-			// install goes through the same-Problem adoption path.
-			p, _, _ = s.patcher.Sync(plane, lpOptions(plane, s.opts), nil)
+			// Rebuild the persistent Problem the session will keep patching,
+			// discounted exactly as it was. The basis binds to this exact
+			// Problem, so the next Step's install goes through the
+			// same-Problem adoption path.
+			work := biased(plane, s.lastBias, stickiness)
+			p, _, _ = s.patcher.Sync(work, lpOptions(work, s.opts), nil)
 		} else {
 			// Non-incremental sessions build a fresh Problem every epoch; a
 			// throwaway donor with the identical matrix carries the
@@ -159,6 +175,5 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		}
 		s.basis = b
 	}
-	// s.lastBias stays nil: see the SessionState contract above.
 	return s, nil
 }

@@ -26,9 +26,10 @@ const shardSeedMix = 0x94d049bb133111eb
 // reflector.
 //
 // If coordination cannot feed some shard (its LP stays infeasible at the
-// round cap), the solve falls back to the monolithic pipeline — which
-// either proves the instance itself infeasible or produces a design — and
-// marks Result.ShardInfo.Fallback.
+// round cap), or the merged design misses the paper's guarantee on the full
+// instance, the solve falls back to the monolithic pipeline — which either
+// proves the instance itself infeasible or produces a design — and marks
+// Result.ShardInfo.Fallback.
 func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 	k := opts.Shards
 	// Clamp to real sinks: a viewer's streams are shard-atomic, so there
@@ -169,19 +170,28 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		// byte-identical for existing consumers.
 		stages[2].Name = "shard-exchange"
 	}
+	fallback := func() (*Result, error) {
+		res, err := solveMono(in, opts)
+		if err != nil {
+			return nil, err
+		}
+		res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
+		if hierarchical {
+			res.ShardInfo.Levels = 2
+		}
+		return res, nil
+	}
 	if err := tracker.runAll(stages, ps); err != nil {
 		if errors.Is(err, lpmodel.ErrInfeasible) {
-			res, ferr := solveMono(in, opts)
-			if ferr != nil {
-				return nil, ferr
-			}
-			res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
-			if hierarchical {
-				res.ShardInfo.Levels = 2
-			}
-			return res, nil
+			return fallback()
 		}
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	// Every shard's design is audited against its own allocation, but the
+	// merged design is what ships: if it misses the paper's guarantee on the
+	// full instance, it is treated like a starved shard.
+	if !MeetsGuarantee(ps.audit, usePathRounding(in, opts)) {
+		return fallback()
 	}
 
 	out := ps.shardOut

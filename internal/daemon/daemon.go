@@ -8,8 +8,9 @@
 //
 // The state split is the whole design:
 //
-//   - WRITE state (instance, session, delta queue, event log, SLO tracker)
-//     lives behind one mutex and is touched only by ingest and the solver;
+//   - WRITE state (the live.Engine — instance, session, SLO tracker — plus
+//     the delta queue and event log) lives behind one mutex and is touched
+//     only by ingest and the solver;
 //   - READ state is an immutable View published by atomic pointer swap
 //     after every solve — placement lookups, /design and /status never
 //     take the lock, so reads keep serving at full speed while a solve
@@ -22,11 +23,17 @@
 // to disk so a restarted daemon resumes warm: the first post-restart epoch
 // adopts the persisted basis (Forrest–Tomlin resume) instead of
 // refactorizing cold.
+//
+// A solve that fails (an infeasible epoch, say) never takes the daemon
+// down: the last good view keeps serving, /healthz and /status report the
+// daemon degraded with the error as the reason, and the next solve
+// retries with the failed epoch's deltas still applied.
 package daemon
 
 import (
 	"context"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +63,7 @@ type Config struct {
 	Pressure int
 
 	// SLOWindow / SLOTarget parameterize the availability tracker feeding
-	// /slo (defaults 8 and 0.5, as in live.Config).
+	// /slo (zero takes live.NewSLOTracker's defaults).
 	SLOWindow int
 	SLOTarget float64
 	// SinkRegion optionally maps demand units to topology regions for the
@@ -89,40 +96,13 @@ func (c *Config) defaults() {
 	if c.Pressure == 0 {
 		c.Pressure = 64
 	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 8
-	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 0.5
-	}
 }
 
-// EpochInfo is one solve's summary: the /status payload's last_epoch and
-// POST /solve's response. All fields are deterministic in the ingest
-// history except WallNS.
-type EpochInfo struct {
-	Epoch int `json:"epoch"`
-	// Edits counts the atomic delta edits consumed by this solve.
-	Edits       int     `json:"edits"`
-	TrueCost    float64 `json:"true_cost"`
-	LPCost      float64 `json:"lp_cost"`
-	Pivots      int     `json:"pivots"`
-	ArcChurn    int     `json:"arc_churn"`
-	ViewerChurn float64 `json:"viewer_churn"`
-	// Warm-resume telemetry: FTUpdates counts warm starts that adopted a
-	// persisted factorization this epoch, Refactorizations from-scratch
-	// factorizations — the pair the restart smoke test asserts on.
-	FTUpdates        int     `json:"ft_updates"`
-	Refactorizations int     `json:"refactorizations"`
-	LPPatches        int     `json:"lp_patches"`
-	LPRebuilds       int     `json:"lp_rebuilds"`
-	ActiveSinks      int     `json:"active_sinks"`
-	BuiltReflectors  int     `json:"built_reflectors"`
-	AuditOK          bool    `json:"audit_ok"`
-	SLOOk            bool    `json:"slo_ok"`
-	SLOWindowFrac    float64 `json:"slo_window_frac"`
-	WallNS           int64   `json:"wall_ns"`
-}
+// EpochInfo is one solve's summary — the live engine's epoch report, so
+// the daemon's epoch stream is field for field what overlaylive -replay of
+// its exported scenario reports. It is the /status payload's last and POST
+// /solve's response.
+type EpochInfo = live.EpochReport
 
 // Totals accumulate across the daemon's lifetime (reset by a restore —
 // they are monitoring state, not control state).
@@ -160,16 +140,16 @@ type Daemon struct {
 	reg *obs.Registry
 
 	mu        sync.Mutex
-	in        *netmodel.Instance
+	eng       *live.Engine
 	base      *netmodel.Instance
-	sess      *core.Session
 	queue     []netmodel.Delta
 	qEdits    int
 	events    []live.Event
-	slo       *live.SLOTracker
 	totals    Totals
 	sinceSnap int
 	start     time.Time
+	// degraded is the error of the last solve, cleared by the next good one.
+	degraded string
 
 	view atomic.Pointer[View]
 	kick chan struct{}
@@ -186,8 +166,7 @@ func New(in *netmodel.Instance, cfg Config) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	cfg.defaults()
-	d := newDaemon(in, cfg)
-	d.sess = core.NewSession(d.cfg.Solver, d.cfg.Stickiness, d.cfg.WarmStart)
+	d := newDaemon(in.Clone(), in.Clone(), cfg, core.NewSession(cfg.Solver, cfg.Stickiness, cfg.WarmStart))
 	if _, err := d.SolveNow(); err != nil {
 		return nil, fmt.Errorf("daemon: initial provisioning: %w", err)
 	}
@@ -205,20 +184,19 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	cfg.defaults()
-	d := newDaemon(snap.Instance, cfg)
-	d.base = snap.Base.Clone()
-	sess, err := core.RestoreSession(d.in, d.cfg.Solver, d.cfg.Stickiness, d.cfg.WarmStart, snap.Session)
+	in := snap.Instance.Clone()
+	sess, err := core.RestoreSession(in, cfg.Solver, cfg.Stickiness, cfg.WarmStart, snap.Session)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: resume: %w", err)
 	}
-	d.sess = sess
+	d := newDaemon(snap.Base.Clone(), in, cfg, sess)
 	d.events = append(d.events, snap.Events...)
 	for _, del := range snap.Pending {
 		d.queue = append(d.queue, del)
 		d.qEdits += del.Size()
 	}
 	if dep := sess.Deployed(); dep != nil {
-		audit := netmodel.AuditDesign(d.in, dep)
+		audit := netmodel.AuditDesign(in, dep)
 		d.publishLocked(dep, audit, EpochInfo{Epoch: sess.Steps() - 1})
 		// The resumed daemon is healthy before its first solve: it serves
 		// the persisted design. (The full guarantee predicate needs the
@@ -237,26 +215,26 @@ func Resume(snap *Snapshot, cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-func newDaemon(in *netmodel.Instance, cfg Config) *Daemon {
+// newDaemon wires the service state: base roots the event log, in is the
+// live instance the engine takes over.
+func newDaemon(base, in *netmodel.Instance, cfg Config, sess *core.Session) *Daemon {
 	d := &Daemon{
 		cfg:   cfg,
-		in:    in.Clone(),
-		base:  in.Clone(),
+		base:  base,
 		kick:  make(chan struct{}, 1),
 		start: time.Now(),
 	}
-	d.slo = live.NewSLOTracker(cfg.SLOWindow, cfg.SLOTarget, cfg.SinkRegion, d.in.Commodity)
 	// One registry backs everything: the mounted /metrics endpoint, the
-	// daemon's own epoch/SLO gauges, and the solver stack (the session's
-	// observer records pivots, factorization events and patch counters into
-	// the same families live.Run would).
+	// engine's epoch/churn/SLO families, and the solver stack (the session
+	// observes through the engine's epoch span).
 	d.reg = cfg.Obs.Registry()
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 		d.cfg.Obs = &obs.Observer{Reg: d.reg}
 	}
-	obs.Canonical(d.reg)
-	d.cfg.Solver.Obs = d.cfg.Obs
+	d.eng = live.NewEngine(in, sess,
+		live.NewSLOTracker(cfg.SLOWindow, cfg.SLOTarget, cfg.SinkRegion, in.Commodity),
+		d.cfg.Obs)
 	d.srv = obs.NewServer(d.reg)
 	return d
 }
@@ -272,12 +250,12 @@ func (d *Daemon) View() *View { return d.view.Load() }
 func (d *Daemon) Ingest(deltas []netmodel.Delta) (queuedEdits, epoch int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	epoch = d.eng.Session.Steps()
 	for i := range deltas {
-		if err := deltas[i].Validate(d.in); err != nil {
-			return d.qEdits, d.sess.Steps(), err
+		if err := deltas[i].Validate(d.eng.In); err != nil {
+			return d.qEdits, epoch, err
 		}
 	}
-	epoch = d.sess.Steps()
 	for _, del := range deltas {
 		d.queue = append(d.queue, del)
 		d.qEdits += del.Size()
@@ -301,73 +279,34 @@ func (d *Daemon) SolveNow() (EpochInfo, error) {
 }
 
 func (d *Daemon) solveLocked() (EpochInfo, error) {
-	edits := 0
-	for i := range d.queue {
-		ds, err := d.queue[i].Apply(d.in)
-		if err != nil {
-			// Cannot happen for a queue validated at ingest (deltas never
-			// resize and validation is state-independent), but a corrupted
-			// snapshot could smuggle one in — fail the solve, keep serving.
-			return EpochInfo{}, fmt.Errorf("daemon: applying queued delta %q: %w", d.queue[i].Note, err)
-		}
-		d.sess.Observe(ds)
-		edits += d.queue[i].Size()
-	}
+	info, res, err := d.eng.Step(d.queue)
+	// Whatever Step applied stays applied (a failed solve carries the
+	// deltas into the next one), so the queue drains either way.
 	d.queue = d.queue[:0]
 	d.qEdits = 0
-
-	epoch := d.sess.Steps()
-	start := time.Now()
-	res, err := d.sess.Step(d.in)
 	if err != nil {
-		return EpochInfo{}, fmt.Errorf("daemon: epoch %d solve: %w", epoch, err)
+		// Keep serving the last good view; report why it is stale.
+		d.degraded = err.Error()
+		steps := d.eng.Session.Steps()
+		d.srv.SetHealth(obs.HealthStatus{
+			Running: true, Scenario: d.base.Name, Policy: policyName(d.cfg),
+			Epoch: steps - 1, Epochs: steps, Reason: d.degraded,
+		})
+		return EpochInfo{}, fmt.Errorf("daemon: %w", err)
 	}
-	verdict := d.slo.Observe(d.in.Threshold, res.Audit.Met)
-
-	info := EpochInfo{
-		Epoch:            epoch,
-		Edits:            edits,
-		TrueCost:         res.Audit.Cost,
-		LPCost:           res.LPCost,
-		Pivots:           res.Timings.LPPivots,
-		ArcChurn:         res.ArcChurn,
-		ViewerChurn:      res.ViewerChurn,
-		FTUpdates:        res.LPStats.FTUpdates,
-		Refactorizations: res.LPStats.Refactorizations,
-		ActiveSinks:      res.Audit.Sinks,
-		AuditOK:          res.AuditOK(),
-		SLOOk:            verdict.Ok,
-		SLOWindowFrac:    verdict.WindowFrac,
-		WallNS:           time.Since(start).Nanoseconds(),
-	}
-	if res.Patch != nil {
-		info.LPPatches = res.Patch.Patches()
-		if res.Patch.Rebuilt {
-			info.LPRebuilds = 1
-		}
-	}
-	if si := res.ShardInfo; si != nil {
-		for _, n := range si.PerShardPatches {
-			info.LPPatches += n
-		}
-		for _, n := range si.PerShardRebuilds {
-			info.LPRebuilds += n
-		}
-	}
-	for _, b := range res.Design.Build {
-		if b {
-			info.BuiltReflectors++
-		}
-	}
+	d.degraded = ""
 	d.totals.Solves++
-	d.totals.Edits += edits
+	d.totals.Edits += info.Edits
 	d.totals.Pivots += info.Pivots
 	d.totals.FTUpdates += info.FTUpdates
 	d.totals.Refactorizations += info.Refactorizations
-	d.totals.SLOBreaches = d.slo.Breaches()
+	d.totals.SLOBreaches = d.eng.SLO.Breaches()
 
 	d.publishLocked(res.Design, res.Audit, info)
-	d.serveTelemetryLocked(info, verdict)
+	health, slo := live.Telemetry(info, d.eng.SLO)
+	health.Scenario, health.Policy = d.base.Name, policyName(d.cfg)
+	d.srv.SetHealth(health)
+	d.srv.SetSLO(slo)
 
 	if d.cfg.SnapshotPath != "" && d.cfg.SnapshotEvery > 0 {
 		d.sinceSnap++
@@ -387,57 +326,11 @@ func (d *Daemon) solveLocked() (EpochInfo, error) {
 func (d *Daemon) publishLocked(design *netmodel.Design, audit netmodel.Audit, info EpochInfo) {
 	d.view.Store(&View{
 		Epoch:  info.Epoch,
-		In:     d.in.Clone(),
+		In:     d.eng.In.Clone(),
 		Design: design.Clone(),
 		Audit:  audit,
 		Last:   info,
 	})
-}
-
-// serveTelemetryLocked refreshes the mounted obs endpoints after a solve.
-func (d *Daemon) serveTelemetryLocked(info EpochInfo, verdict live.SLOEpoch) {
-	d.srv.SetHealth(obs.HealthStatus{
-		OK: info.AuditOK, Running: true,
-		Scenario: d.base.Name, Policy: policyName(d.cfg),
-		Epoch: info.Epoch, Epochs: info.Epoch + 1,
-		AuditOK: info.AuditOK, SLOOk: info.SLOOk,
-	})
-	regions := make([]obs.RegionSLO, 0, len(verdict.Regions))
-	for _, ra := range verdict.Regions {
-		regions = append(regions, obs.RegionSLO{
-			Region: ra.Region, Active: ra.Active, Met: ra.Met,
-			Frac: ra.Frac, WindowFrac: ra.WindowFrac,
-		})
-	}
-	streams := make([]obs.StreamSLO, 0, len(verdict.Streams))
-	for _, sa := range verdict.Streams {
-		streams = append(streams, obs.StreamSLO{
-			Stream: sa.Stream, Active: sa.Active, Met: sa.Met,
-			Frac: sa.Frac, WindowFrac: sa.WindowFrac,
-		})
-	}
-	d.srv.SetSLO(obs.SLOStatus{
-		Window: d.slo.Window, Target: d.slo.Target,
-		Ok: verdict.Ok, WindowFrac: verdict.WindowFrac,
-		Breaches: d.slo.Breaches(), MinWindowFrac: d.slo.MinWindowFrac(),
-		Regions: regions, Streams: streams,
-	})
-	reg := d.reg
-	reg.Counter(obs.MEpochsTotal).Inc()
-	reg.Gauge(obs.MEpoch).Set(float64(info.Epoch))
-	reg.Gauge(obs.MEpochCost).Set(info.TrueCost)
-	reg.Gauge(obs.MActiveSinks).Set(float64(info.ActiveSinks))
-	reg.Gauge(obs.MBuiltReflectors).Set(float64(info.BuiltReflectors))
-	reg.Gauge(obs.MSLOWindowAvailability).Set(info.SLOWindowFrac)
-	if !info.SLOOk {
-		reg.Counter(obs.MSLOBreaches).Inc()
-	}
-	for _, sa := range verdict.Streams {
-		reg.Gauge(obs.MStreamAvailability, obs.L("stream", fmt.Sprint(sa.Stream))).Set(sa.Frac)
-	}
-	for _, ra := range verdict.Regions {
-		reg.Gauge(obs.MRegionAvailability, obs.L("region", fmt.Sprint(ra.Region))).Set(ra.Frac)
-	}
 }
 
 func policyName(cfg Config) string {
@@ -449,8 +342,10 @@ func policyName(cfg Config) string {
 
 // Run drives the solver loop until ctx is cancelled: a cadence timer
 // (Config.SolveInterval) and the pressure trigger both funnel into
-// SolveNow. On shutdown a final snapshot is written when a path is
-// configured, so a SIGTERM'd daemon always restarts warm.
+// SolveNow. A failed solve is logged and the loop goes on — the daemon
+// stays up, degraded, and the next trigger retries. On shutdown a final
+// snapshot is written when a path is configured, so a SIGTERM'd daemon
+// always restarts warm.
 func (d *Daemon) Run(ctx context.Context) error {
 	var tick <-chan time.Time
 	if d.cfg.SolveInterval > 0 {
@@ -468,14 +363,16 @@ func (d *Daemon) Run(ctx context.Context) error {
 			}
 			return nil
 		case <-d.kick:
-			if _, err := d.SolveNow(); err != nil {
-				return err
-			}
+			d.solveLogged()
 		case <-tick:
-			if _, err := d.SolveNow(); err != nil {
-				return err
-			}
+			d.solveLogged()
 		}
+	}
+}
+
+func (d *Daemon) solveLogged() {
+	if _, err := d.SolveNow(); err != nil {
+		log.Printf("overlayd: %v", err)
 	}
 }
 
@@ -486,7 +383,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 func (d *Daemon) Scenario() (*live.Scenario, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	epochs := d.sess.Steps()
+	epochs := d.eng.Session.Steps()
 	for _, ev := range d.events {
 		if ev.Epoch+1 > epochs {
 			epochs = ev.Epoch + 1
@@ -518,7 +415,12 @@ type Status struct {
 	EventsLogged  int    `json:"events_logged"`
 	Policy        string `json:"policy"`
 	Incremental   bool   `json:"incremental"`
-	Totals        Totals `json:"totals"`
+	// Degraded reports that the last solve failed: the published view is
+	// the last good one, DegradedReason the error, and the next solve
+	// retries.
+	Degraded       bool   `json:"degraded"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
+	Totals         Totals `json:"totals"`
 	// Last is the most recent solve's summary (zero Epoch with Solves==0
 	// only right after a restore, which publishes without solving).
 	Last          EpochInfo `json:"last"`
@@ -531,15 +433,17 @@ func (d *Daemon) Status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := Status{
-		Epoch:         d.sess.Steps() - 1,
-		PendingDeltas: len(d.queue),
-		PendingEdits:  d.qEdits,
-		EventsLogged:  len(d.events),
-		Policy:        policyName(d.cfg),
-		Incremental:   d.sess.Incremental(),
-		Totals:        d.totals,
-		SnapshotPath:  d.cfg.SnapshotPath,
-		UptimeSeconds: time.Since(d.start).Seconds(),
+		Epoch:          d.eng.Session.Steps() - 1,
+		PendingDeltas:  len(d.queue),
+		PendingEdits:   d.qEdits,
+		EventsLogged:   len(d.events),
+		Policy:         policyName(d.cfg),
+		Incremental:    d.eng.Session.Incremental(),
+		Degraded:       d.degraded != "",
+		DegradedReason: d.degraded,
+		Totals:         d.totals,
+		SnapshotPath:   d.cfg.SnapshotPath,
+		UptimeSeconds:  time.Since(d.start).Seconds(),
 	}
 	if v := d.View(); v != nil {
 		st.Last = v.Last

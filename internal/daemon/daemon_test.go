@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/live"
+	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
 )
@@ -299,8 +301,8 @@ func TestDaemonPressureSolve(t *testing.T) {
 
 // TestDaemonScenarioReplay is the record/replay contract end to end: the
 // event log a daemon exports, replayed through live.Run with the matching
-// policy, reproduces the daemon's epoch stream bit-for-bit (costs, pivots,
-// churn).
+// policy, reproduces the daemon's epoch stream bit-for-bit — every report
+// field except the wall-clock ones.
 func TestDaemonScenarioReplay(t *testing.T) {
 	cfg := testConfig(11)
 	d, err := New(testInstance(t, 11), cfg)
@@ -351,15 +353,18 @@ func TestDaemonScenarioReplay(t *testing.T) {
 		t.Fatalf("replay ran %d epochs, daemon solved %d", len(rep.Epochs), len(infos))
 	}
 	for e, er := range rep.Epochs {
-		if er.TrueCost != infos[e].TrueCost || er.LPCost != infos[e].LPCost {
-			t.Fatalf("epoch %d: replay cost %.17g/%.17g vs daemon %.17g/%.17g",
-				e, er.TrueCost, er.LPCost, infos[e].TrueCost, infos[e].LPCost)
-		}
-		if er.Pivots != infos[e].Pivots || er.ArcChurn != infos[e].ArcChurn {
-			t.Fatalf("epoch %d: replay pivots/churn %d/%d vs daemon %d/%d",
-				e, er.Pivots, er.ArcChurn, infos[e].Pivots, infos[e].ArcChurn)
+		got, want := scrubWall(infos[e]), scrubWall(er)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d diverged from the replay:\ndaemon: %+v\nreplay: %+v", e, got, want)
 		}
 	}
+}
+
+// scrubWall zeroes an epoch report's wall-clock fields.
+func scrubWall(er EpochInfo) EpochInfo {
+	er.WallNS = 0
+	er.StageWallNS = nil
+	return er
 }
 
 // TestDaemonConcurrentIngestLookupSnapshot hammers the three access paths
@@ -453,5 +458,119 @@ func TestDaemonConcurrentIngestLookupSnapshot(t *testing.T) {
 	}
 	if _, err := Resume(snap, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDaemonInfeasibleEpochDegrades: an epoch whose LP is infeasible (every
+// reflector's fanout set to 0) must not take the daemon down. The solver
+// loop keeps running, the last good view keeps serving, /healthz answers
+// 503 with the error as the reason and /status reports degraded; a
+// restoring delta then solves cleanly, clears the degraded state, and the
+// exported event log still replays to the same designs.
+func TestDaemonInfeasibleEpochDegrades(t *testing.T) {
+	cfg := testConfig(17)
+	cfg.Pressure = 1
+	d, err := New(testInstance(t, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- d.Run(ctx) }()
+
+	good := d.View()
+	outage := netmodel.Delta{Note: "all reflectors down"}
+	restore := netmodel.Delta{Note: "all reflectors back"}
+	for i, f := range good.In.Fanout {
+		outage.SetFanout = append(outage.SetFanout, netmodel.RefValue{Ref: i, Value: 0})
+		restore.SetFanout = append(restore.SetFanout, netmodel.RefValue{Ref: i, Value: f})
+	}
+	waitStatus := func(what string, ok func(Status) bool) Status {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			st := d.Status()
+			if ok(st) {
+				return st
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("solver loop exited while waiting for %s: %v", what, err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	if _, _, err := d.Ingest([]netmodel.Delta{outage}); err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus("the degraded state", func(st Status) bool { return st.Degraded })
+	if !strings.Contains(st.DegradedReason, "infeasible") || st.Epoch != 0 || st.Totals.Solves != 1 {
+		t.Fatalf("degraded status: %+v", st)
+	}
+	if d.View() != good {
+		t.Fatal("a failed solve replaced the published view")
+	}
+	if _, err := d.SolveNow(); !errors.Is(err, lpmodel.ErrInfeasible) {
+		t.Fatalf("retrying the infeasible epoch: %v", err)
+	}
+	code, body := get(t, srv, "/healthz")
+	var h obs.HealthStatus
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusServiceUnavailable || h.OK || h.Reason != st.DegradedReason {
+		t.Fatalf("/healthz while degraded: %d %s", code, body)
+	}
+	if code, body = get(t, srv, "/placement?sink=0"); code != http.StatusOK {
+		t.Fatalf("/placement while degraded: %d %s", code, body)
+	}
+
+	if _, _, err := d.Ingest([]netmodel.Delta{restore}); err != nil {
+		t.Fatal(err)
+	}
+	st = waitStatus("the recovery solve", func(st Status) bool { return st.Epoch == 1 })
+	if st.Degraded || st.DegradedReason != "" || !st.Last.AuditOK || st.Last.Edits != outage.Size()+restore.Size() {
+		t.Fatalf("status after recovery: %+v", st)
+	}
+	if code, body = get(t, srv, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after recovery: %d %s", code, body)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	sc, err := d.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := live.Run(sc, live.Config{
+		Solver: cfg.Solver,
+		Policy: live.Policy{Name: "daemon", Stickiness: cfg.Stickiness, WarmStart: cfg.WarmStart},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The failed solve's simplex work stays in the persisted LP, so the
+	// recovery epoch's solver-effort counters differ from a replay that
+	// never failed; the design and everything derived from it must not.
+	effortless := func(er EpochInfo) EpochInfo {
+		er = scrubWall(er)
+		er.Pivots, er.LPPatches, er.LPRebuilds = 0, 0, 0
+		er.Refactorizations, er.FTUpdates, er.DevexResets = 0, 0, 0
+		return er
+	}
+	for e, want := range []EpochInfo{good.Last, d.View().Last} {
+		if got := effortless(rep.Epochs[e]); !reflect.DeepEqual(effortless(want), got) {
+			t.Fatalf("epoch %d diverged from the replay:\ndaemon: %+v\nreplay: %+v", e, effortless(want), got)
+		}
 	}
 }

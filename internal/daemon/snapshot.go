@@ -100,12 +100,12 @@ func (d *Daemon) Snapshot() *Snapshot {
 func (d *Daemon) snapshotLocked() *Snapshot {
 	return &Snapshot{
 		Format:   SnapshotFormat,
-		Epoch:    d.sess.Steps() - 1,
+		Epoch:    d.eng.Session.Steps() - 1,
 		Base:     d.base.Clone(),
-		Instance: d.in.Clone(),
+		Instance: d.eng.In.Clone(),
 		Events:   append([]live.Event(nil), d.events...),
 		Pending:  append([]netmodel.Delta(nil), d.queue...),
-		Session:  d.sess.ExportState(),
+		Session:  d.eng.Session.ExportState(),
 	}
 }
 

@@ -157,14 +157,20 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 }
 
 // scrubNondet zeroes the fields legitimately different across a restore:
-// wall time; LPPatches (a restored session's first step re-patches every
-// stickiness-bias cell value-for-value, since the bias memory is
-// deliberately not checkpointed — more cells touched, same values); and
-// SLOWindowFrac (the SLO window is monitoring state and restarts).
+// the wall-clock ones, and the SLO window fractions (the SLO window is
+// monitoring state and restarts with the daemon). The breakdown slices are
+// copied before scrubbing, so the published view is left alone.
 func scrubNondet(i EpochInfo) EpochInfo {
-	i.WallNS = 0
-	i.LPPatches = 0
+	i = scrubWall(i)
 	i.SLOWindowFrac = 0
+	i.Regions = append([]live.RegionAvail(nil), i.Regions...)
+	for k := range i.Regions {
+		i.Regions[k].WindowFrac = 0
+	}
+	i.Streams = append([]live.StreamAvail(nil), i.Streams...)
+	for k := range i.Streams {
+		i.Streams[k].WindowFrac = 0
+	}
 	return i
 }
 

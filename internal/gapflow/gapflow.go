@@ -130,7 +130,7 @@ func Round(in *netmodel.Instance, xbar [][]float64) *Result {
 			if !reflUsed[p.refl] {
 				reflUsed[p.refl] = true
 				// s → reflector, capacity F_i (scaled ×2).
-				capF := int64(2 * math.Floor(in.Fanout[p.refl]+1e-9))
+				capF := int64(math.Floor(2*in.Fanout[p.refl] + 1e-9))
 				g.AddEdge(src, reflNode(p.refl), capF, 0)
 			}
 			// reflector → pair, capacity 1 (scaled 2), cost per

@@ -275,3 +275,20 @@ func TestBoxWeightLowerBoundQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGAPFractionalFanout: a fanout below one (the sharded pipeline hands
+// each shard a fractional split of a reflector's capacity) still admits
+// ⌊2F⌋ half-units, so a fully assigned sink keeps its reflector and the
+// doubled assignment stays within 2F.
+func TestGAPFractionalFanout(t *testing.T) {
+	in := gen.Uniform(gen.DefaultUniform(1, 2, 2), 3)
+	in.Fanout[0], in.Fanout[1] = 0.5, 0.4
+	xbar := [][]float64{{1, 0}, {0, 1}}
+	res := Round(in, xbar)
+	if !res.Serve[0][0] {
+		t.Fatal("fanout 0.5 admits one half-unit pair, but sink 0 lost its only reflector")
+	}
+	if res.Serve[1][1] {
+		t.Fatal("fanout 0.4 admits no half-unit, but sink 1 was served above 2F")
+	}
+}

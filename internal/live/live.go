@@ -5,11 +5,12 @@
 // way §1.3 of the paper describes the monitoring loop ("costs, losses and
 // demands are re-measured and the network is re-provisioned").
 //
-// Each epoch applies its events as incremental netmodel.Deltas to one
-// evolving instance, re-solves through a core.Session (which carries the
-// deployed design for stickiness biasing and the simplex basis for warm
-// starts), certifies the epoch's design against the paper's audit, and
-// records an EpochReport. Policies differ only in stickiness and warm-start
+// Each epoch (Engine.Step) applies its events as incremental
+// netmodel.Deltas to one evolving instance, re-solves through a
+// core.Session (which carries the deployed design for stickiness biasing
+// and the simplex basis for warm starts), certifies the epoch's design
+// against the paper's audit, and records an EpochReport. The overlayd
+// daemon runs the same Engine over its ingest queue. Policies differ only in stickiness and warm-start
 // use, so running the same scenario under two policies quantifies exactly
 // what incremental re-optimization buys over cold re-solves.
 //
@@ -20,8 +21,6 @@ package live
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netmodel"
@@ -137,18 +136,12 @@ type Config struct {
 	// stages nested under it. A nil Obs leaves the run byte-identical.
 	Obs *obs.Observer
 	// OnEpoch, when non-nil, is called after each epoch's report is final
-	// (metrics already fed) — the hook the CLI uses to refresh its /healthz
-	// and /slo state and to pace the timeline.
-	OnEpoch func(er EpochReport)
-	// SLOWindow is the sliding window (in epochs) of the availability SLO
-	// tracker; default 8. SLOTarget is the fraction of active sinks that
-	// must meet their exact reliability threshold for an epoch to count as
-	// available; default 0.5. The default is deliberately below the ~60%
-	// met-demand a repair-less solve delivers in steady state (the paper
-	// guarantees W/4 weight, not full demand), so breaches flag genuine
-	// incidents — outages, flash-crowd onsets — rather than firing every
-	// epoch; operators running RepairCoverage-style solvers should raise
-	// it toward 1.
+	// (metrics already fed) with the tracker that judged it — the hook the
+	// CLI uses to refresh its /healthz and /slo state (see Telemetry) and to
+	// pace the timeline.
+	OnEpoch func(er EpochReport, slo *SLOTracker)
+	// SLOWindow / SLOTarget parameterize the availability SLO tracker; zero
+	// takes NewSLOTracker's defaults.
 	SLOWindow int
 	SLOTarget float64
 }
@@ -320,7 +313,8 @@ func (r *RunReport) LPConstructionNS() int64 {
 	return total
 }
 
-// Run advances the scenario epoch by epoch under one policy.
+// Run advances the scenario epoch by epoch under one policy: a loop over
+// Engine.Step that adds the packet simulation and the run totals.
 func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -335,128 +329,26 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		cfg.SimEvery = 1
 	}
 	cfg.Solver.IncrementalLP = !cfg.NoIncremental
-	if cfg.SLOWindow <= 0 {
-		cfg.SLOWindow = 8
-	}
-	if cfg.SLOTarget <= 0 {
-		cfg.SLOTarget = 0.5
-	}
-	obs.Canonical(cfg.Obs.Registry())
-	byEpoch := make(map[int][]Event, len(sc.Events))
+	byEpoch := make(map[int][]netmodel.Delta, len(sc.Events))
 	for _, ev := range sc.Events {
-		byEpoch[ev.Epoch] = append(byEpoch[ev.Epoch], ev)
+		byEpoch[ev.Epoch] = append(byEpoch[ev.Epoch], ev.Delta)
 	}
 
 	in := sc.Base.Clone()
-	sess := core.NewSession(cfg.Solver, cfg.Policy.Stickiness, cfg.Policy.WarmStart)
+	eng := NewEngine(in,
+		core.NewSession(cfg.Solver, cfg.Policy.Stickiness, cfg.Policy.WarmStart),
+		NewSLOTracker(cfg.SLOWindow, cfg.SLOTarget, sc.SinkRegion, in.Commodity),
+		cfg.Obs)
 	rep := &RunReport{
 		Scenario: sc.Name, Policy: cfg.Policy, Seed: sc.Seed, AllAuditOK: true,
-		SLOWindow: cfg.SLOWindow, SLOTarget: cfg.SLOTarget, MinSLOWindow: 1,
+		SLOWindow: eng.SLO.Window, SLOTarget: eng.SLO.Target, MinSLOWindow: 1,
 	}
-	// The SLO state machine: global trailing window plus the per-region
-	// (scenario SinkRegion map) and per-stream (instance Commodity map)
-	// breakdowns. The daemon reuses the same tracker over its ingested
-	// timeline, so the engine and the service can never disagree on what
-	// "available" means.
-	slo := NewSLOTracker(cfg.SLOWindow, cfg.SLOTarget, sc.SinkRegion, in.Commodity)
 
 	for e := 0; e < sc.Epochs; e++ {
-		er := EpochReport{Epoch: e}
-		for _, ev := range byEpoch[e] {
-			ds, err := ev.Delta.Apply(in)
-			if err != nil {
-				return nil, fmt.Errorf("live: epoch %d: %w", e, err)
-			}
-			sess.Observe(ds)
-			er.Events = append(er.Events, ev.Delta.Note)
-			er.Edits += ev.Delta.Size()
-		}
-		for _, phi := range in.Threshold {
-			if phi > 0 {
-				er.ActiveSinks++
-			}
-		}
-		er.ActiveViewers = in.ActiveViewers()
-		// One trace span per epoch; the session observes through it so the
-		// core stage spans nest underneath.
-		eo, esp := cfg.Obs.StartSpan("epoch",
-			obs.A("epoch", e), obs.A("events", len(er.Events)), obs.A("edits", er.Edits))
-		sess.SetObserver(eo)
-		start := time.Now()
-		res, err := sess.Step(in)
-		esp.End()
+		er, res, err := eng.Step(byEpoch[e])
 		if err != nil {
-			return nil, fmt.Errorf("live: epoch %d solve: %w", e, err)
+			return nil, err
 		}
-		er.WallNS = time.Since(start).Nanoseconds()
-		er.TrueCost = res.Audit.Cost
-		er.LPCost = res.LPCost
-		// Timings.LPPivots equals Frac.Iterations for monolithic epochs and
-		// the all-shards/all-rounds pivot sum for sharded ones (Frac is nil
-		// on the sharded path).
-		er.Pivots = res.Timings.LPPivots
-		er.Retries = res.Retries
-		er.ArcChurn = res.ArcChurn
-		er.ReflectorChurn = res.ReflectorChurn
-		er.StreamChurn = res.StreamChurn
-		er.ViewerChurn = res.ViewerChurn
-		for _, b := range res.Design.Build {
-			if b {
-				er.BuiltReflectors++
-			}
-		}
-		er.WeightFactor = res.Audit.WeightFactor
-		er.FanoutFactor = res.Audit.FanoutFactor
-		er.MetDemand = res.Audit.MetDemand
-		er.AuditOK = res.AuditOK()
-		er.StageWallNS = make(map[string]int64, len(res.Stages))
-		for _, st := range res.Stages {
-			er.StageWallNS[st.Name] = st.Wall.Nanoseconds()
-		}
-		if res.Patch != nil {
-			er.LPPatches = res.Patch.Patches()
-			if res.Patch.Rebuilt {
-				er.LPRebuilds = 1
-			}
-		}
-		er.Refactorizations = res.LPStats.Refactorizations
-		er.FTUpdates = res.LPStats.FTUpdates
-		er.DevexResets = res.LPStats.DevexResets
-		if si := res.ShardInfo; si != nil {
-			er.ExtractionsSkipped = si.ExtractionsSkipped
-			er.ExchangeRounds = si.ExchangeRounds
-			er.ExchangeGap = si.ExchangeGap
-			for _, n := range si.PerShardPatches {
-				er.LPPatches += n
-			}
-			for _, n := range si.PerShardRebuilds {
-				er.LPRebuilds += n
-			}
-			// Surface the per-shard model-construction cost under the same
-			// stage names the monolithic path reports, so lp-build/lp-patch
-			// accounting is uniform across solve paths (summed over
-			// concurrent shards).
-			if si.LPBuildNS > 0 {
-				er.StageWallNS["lp-build"] += si.LPBuildNS
-			}
-			if si.LPPatchNS > 0 {
-				er.StageWallNS["lp-patch"] += si.LPPatchNS
-			}
-		}
-
-		// Availability SLO: an epoch is available when at least SLOTarget
-		// of its active sinks meet their exact reliability threshold; the
-		// tracker reports the fraction of available epochs over a trailing
-		// window (the alerting-style view of §1.3's monitoring loop), plus
-		// the per-region and per-stream breakdowns behind /slo.
-		verdict := slo.Observe(in.Threshold, res.Audit.Met)
-		er.SLOOk = verdict.Ok
-		er.SLOWindowFrac = verdict.WindowFrac
-		er.Regions = verdict.Regions
-		er.Streams = verdict.Streams
-		rep.SLOBreaches = slo.Breaches()
-		rep.MinSLOWindow = slo.MinWindowFrac()
-
 		if cfg.SimPackets > 0 && e%cfg.SimEvery == 0 {
 			scfg := sim.DefaultConfig(sc.Seed + 0x5deece66d*uint64(e+1))
 			scfg.Packets = cfg.SimPackets
@@ -484,11 +376,12 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		if !er.AuditOK {
 			rep.AllAuditOK = false
 		}
-		recordEpoch(cfg.Obs.Registry(), er)
 		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(er)
+			cfg.OnEpoch(er, eng.SLO)
 		}
 	}
+	rep.SLOBreaches = eng.SLO.Breaches()
+	rep.MinSLOWindow = eng.SLO.MinWindowFrac()
 
 	// Wall-time order statistics across the timeline: the whole-epoch solve
 	// wall, and each stage over the epochs it actually ran in (lp-build, for
@@ -509,41 +402,6 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// recordEpoch feeds one epoch's report into the metrics registry under the
-// canonical naming scheme. The solver-level counters (pivots, factorization
-// events, patches, shard coordination) are NOT fed here — core.Solve already
-// records them through the same observer — so every metric has exactly one
-// feeding point.
-func recordEpoch(r *obs.Registry, er EpochReport) {
-	if r == nil {
-		return
-	}
-	r.Counter(obs.MEpochsTotal).Inc()
-	r.Gauge(obs.MEpoch).Set(float64(er.Epoch))
-	r.Histogram(obs.MEpochWall, nil).Observe(float64(er.WallNS) / 1e9)
-	r.Gauge(obs.MEpochCost).Set(er.TrueCost)
-	r.Gauge(obs.MActiveSinks).Set(float64(er.ActiveSinks))
-	r.Gauge(obs.MActiveViewers).Set(float64(er.ActiveViewers))
-	r.Gauge(obs.MBuiltReflectors).Set(float64(er.BuiltReflectors))
-	if !er.AuditOK {
-		r.Counter(obs.MAuditFailures).Inc()
-	}
-	r.Counter(obs.MChurnArcs).Add(float64(er.ArcChurn))
-	r.Counter(obs.MChurnReflectors).Add(float64(er.ReflectorChurn))
-	r.Counter(obs.MChurnStreams).Add(float64(er.StreamChurn))
-	r.Counter(obs.MChurnViewers).Add(er.ViewerChurn)
-	r.Gauge(obs.MSLOWindowAvailability).Set(er.SLOWindowFrac)
-	if !er.SLOOk {
-		r.Counter(obs.MSLOBreaches).Inc()
-	}
-	for _, ra := range er.Regions {
-		r.Gauge(obs.MRegionAvailability, obs.L("region", strconv.Itoa(ra.Region))).Set(ra.Frac)
-	}
-	for _, sa := range er.Streams {
-		r.Gauge(obs.MStreamAvailability, obs.L("stream", strconv.Itoa(sa.Stream))).Set(sa.Frac)
-	}
 }
 
 // ComparePolicies runs the same timeline once per policy (each from a fresh

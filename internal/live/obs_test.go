@@ -37,7 +37,7 @@ func TestObsOnOffEquivalence(t *testing.T) {
 			cfg := Config{
 				Policy:  WarmStickyPolicy(),
 				Obs:     &obs.Observer{Reg: reg, Tr: obs.NewTracer(&buf)},
-				OnEpoch: func(EpochReport) { hookCalls++ },
+				OnEpoch: func(EpochReport, *SLOTracker) { hookCalls++ },
 			}
 			on, err := Run(sc, cfg)
 			if err != nil {

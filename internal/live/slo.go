@@ -1,11 +1,9 @@
 package live
 
-// The windowed availability SLO tracker. Run kept this logic inline until
-// the daemon needed the identical bookkeeping over a continuously ingested
-// timeline (no fixed horizon, epochs arriving on a cadence), so it now
-// lives here as an explicit state machine: feed it one epoch's audit
-// verdicts, get back the global trailing-window availability plus the
-// per-region and per-stream breakdowns the /slo endpoint serves.
+// The windowed availability SLO tracker: an explicit state machine that
+// Engine.Step feeds one epoch's audit verdicts, returning the global
+// trailing-window availability plus the per-region and per-stream
+// breakdowns the /slo endpoint serves (see Telemetry).
 
 // StreamAvail is one stream's availability row of an epoch: how many of the
 // stream's active subscriptions met their exact reliability threshold, and
@@ -44,8 +42,13 @@ type SLOEpoch struct {
 // globally, per topology region, and per stream. One tracker serves one
 // timeline; it is not safe for concurrent Observe calls.
 type SLOTracker struct {
-	// Window / Target are fixed at construction (defaults 8 and 0.5 — see
-	// Config.SLOWindow for why the default target is deliberately low).
+	// Window / Target are fixed at construction, defaults 8 and 0.5. The
+	// default target is deliberately below the ~60% met-demand a
+	// repair-less solve delivers in steady state (the paper guarantees W/4
+	// weight, not full demand), so breaches flag genuine incidents —
+	// outages, flash-crowd onsets — rather than firing every epoch;
+	// operators running RepairCoverage-style solvers should raise it
+	// toward 1.
 	Window int
 	Target float64
 

@@ -25,6 +25,9 @@ type HealthStatus struct {
 	// availability target.
 	AuditOK bool `json:"audit_ok"`
 	SLOOk   bool `json:"slo_ok"`
+	// Reason says why OK is false when the cause is not the audit — a
+	// daemon whose last solve failed reports the error here.
+	Reason string `json:"reason,omitempty"`
 	// UptimeSeconds is filled at serve time.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
