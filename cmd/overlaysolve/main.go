@@ -5,7 +5,7 @@
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
 //	             [-greedy] [-exact] [-lp-only] [-shards 8] [-shard-levels 2]
-//	             [-json report.json] [-pricing devex|dantzig|partial]
+//	             [-json report.json] [-pricing devex|dantzig]
 //	             [-refactor-every N] [-aggregate] [-prior design.json]
 //	             [-stickiness 0.4]
 //
@@ -168,6 +168,7 @@ func main() {
 			}
 			fmt.Printf("wrote solve trace to %s\n", *trace)
 		}
+		lpWall := res.StageWall("lp-build", "lp-patch", "lp-solve", "shard-solve", "shard-coordinate", "shard-exchange")
 		if si := res.ShardInfo; si != nil {
 			fmt.Printf("sharded solve: %d shards, %d coordination rounds, %d re-solves, %d builds consolidated\n",
 				si.Shards, si.Rounds, si.Resolves, si.ConsolidatedBuilds)
@@ -176,10 +177,10 @@ func main() {
 					si.Levels, si.ExchangeRounds, si.ContestedReflectors, si.ExchangeGap)
 			}
 			fmt.Printf("shard LPs: Σcost %.4f, Σ%d vars, Σ%d rows, Σ%d pivots, %v\n",
-				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, res.Timings.LP.Round(time.Microsecond))
+				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, lpWall.Round(time.Microsecond))
 		} else {
 			fmt.Printf("LP relaxation: cost %.4f, %d vars, %d rows, %d pivots, %v\n",
-				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, res.Timings.LP.Round(time.Microsecond))
+				res.LPCost, res.Timings.TotalVars, res.Timings.TotalRows, res.Timings.LPPivots, lpWall.Round(time.Microsecond))
 		}
 		if *lpOnly {
 			return

@@ -8,57 +8,79 @@ import (
 	"repro/internal/obs"
 )
 
+// aggWrap brackets a solve over the aggregation plane (Options.Aggregate)
+// with the aggregate and disaggregate stages. The one-shot pipeline and
+// Session epochs share it: foldAgg runs the aggregate stage, the caller
+// solves the aggregate instance, and unfold maps the design back to real
+// viewers. The two stage walls join Result.Stages around the inner
+// pipeline's.
+type aggWrap struct {
+	tracker *stageTracker
+	ps      *pipelineState
+	st      *agg.State
+}
+
+// foldAgg runs the aggregate stage: fold builds (one-shot) or syncs
+// (Session) the viewer→super-sink state whose Agg instance the caller then
+// solves.
+func foldAgg(in *netmodel.Instance, opts Options, fold func() (*agg.State, error)) (*aggWrap, error) {
+	w := &aggWrap{
+		tracker: newStageTracker(opts.StageMemStats, opts.Obs),
+		ps:      &pipelineState{in: in, opts: opts},
+	}
+	if err := w.tracker.run(Stage{Name: "aggregate", Run: func(*pipelineState) error {
+		var err error
+		w.st, err = fold()
+		return err
+	}}, w.ps); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	recordAggShape(opts.Obs, w.st)
+	return w, nil
+}
+
+// unfold runs the disaggregate stage on res, the solve of the aggregate
+// instance: its design is disaggregated back to real viewers, sticky to
+// prior (the previous true deployment, nil for a one-shot solve), and
+// re-audited against the true instance. An LPOnly solve has no design to
+// map and only gains the aggregate stage.
+func (w *aggWrap) unfold(res *Result, prior *netmodel.Design) error {
+	if w.ps.opts.LPOnly {
+		res.Stages = append(w.tracker.stats, res.Stages...)
+		return nil
+	}
+	if err := w.tracker.run(Stage{Name: "disaggregate", Run: func(ps *pipelineState) error {
+		res.Design = w.st.Disaggregate(ps.in, res.Design, prior)
+		res.Audit = netmodel.AuditDesign(ps.in, res.Design)
+		return nil
+	}}, w.ps); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	res.Stages = append(append([]StageStats{w.tracker.stats[0]}, res.Stages...), w.tracker.stats[1])
+	return nil
+}
+
 // solveAggregated is the one-shot aggregated pipeline: fold viewers into
 // weighted super-sinks (internal/agg), run the ordinary pipeline — sharded
 // or monolithic — over the aggregate instance, then disaggregate the design
-// back to real viewers and re-audit against the true instance. The
-// aggregate and disaggregate stage walls join Result.Stages around the
-// inner pipeline's. Session epochs use the persistent-state variant in
-// session.go instead; this path rebuilds the aggregation from scratch.
+// back to real viewers. Session epochs wrap the same stages around a
+// persistent aggregation instead of rebuilding it from scratch.
 func solveAggregated(in *netmodel.Instance, opts Options) (*Result, error) {
-	tracker := newStageTracker(opts.StageMemStats, opts.Obs)
-	ps := &pipelineState{in: in, opts: opts}
-
-	var st *agg.State
-	if err := tracker.run(Stage{Name: "aggregate", Run: func(*pipelineState) error {
-		var err error
-		st, err = agg.Build(in, *opts.Aggregate)
-		return err
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	w, err := foldAgg(in, opts, func() (*agg.State, error) {
+		return agg.Build(in, *opts.Aggregate)
+	})
+	if err != nil {
+		return nil, err
 	}
-	recordAggShape(opts.Obs, st)
-
 	inner := opts
 	inner.Aggregate = nil
-	var res *Result
-	var err error
-	if inner.Shards >= 2 && st.Agg.NumViewers() >= 2 && !inner.LPOnly {
-		res, err = solveSharded(st.Agg, inner)
-	} else {
-		res, err = solveMono(st.Agg, inner)
+	res, err := solveDirect(w.st.Agg, inner)
+	if err == nil {
+		err = w.unfold(res, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if opts.LPOnly {
-		res.Stages = append(tracker.stats, res.Stages...)
-		return res, nil
-	}
-
-	if err := tracker.run(Stage{Name: "disaggregate", Run: func(*pipelineState) error {
-		res.Design = st.Disaggregate(in, res.Design, nil)
-		res.Audit = netmodel.AuditDesign(in, res.Design)
-		return nil
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	stages := make([]StageStats, 0, len(res.Stages)+2)
-	stages = append(stages, tracker.stats[0])
-	stages = append(stages, res.Stages...)
-	stages = append(stages, tracker.stats[1])
-	res.Stages = stages
 	return res, nil
 }
 

@@ -95,8 +95,16 @@ func TestSolveAggregatedSharded(t *testing.T) {
 // tentpole: an epoch whose churn is weight-neutral inside its aggregate — a
 // leave matched by a join on the same (aggregate, stream) — must solve with
 // ZERO LP work: no build, no patched cell, no pivot. The joining viewer must
-// still come out served (the disaggregation pass alone rewires it).
+// still come out served (the disaggregation pass alone rewires it). A cold
+// session patches nothing either but re-solves the LP from scratch, so its
+// epoch is not LP-free and must not be counted as one.
 func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
+	for _, warm := range []bool{true, false} {
+		testSessionAggregatedLPFreeEpoch(t, warm)
+	}
+}
+
+func testSessionAggregatedLPFreeEpoch(t *testing.T, warm bool) {
 	cc := gen.DefaultClustered(2, 2, 2, 6)
 	in := gen.Clustered(cc, 13)
 	// One aggregate per stream: every viewer in group 0, so any leave+join
@@ -124,7 +132,7 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	opts.Aggregate = &agg.Config{GroupOf: group}
 	reg := obs.NewRegistry()
 	opts.Obs = &obs.Observer{Reg: reg}
-	sess := NewSession(opts, 0, true)
+	sess := NewSession(opts, 0, warm)
 
 	res0, err := sess.Step(in)
 	if err != nil {
@@ -165,11 +173,17 @@ func TestSessionAggregatedLPFreeEpoch(t *testing.T) {
 	if n := res1.Patch.Patches(); n != 0 {
 		t.Fatalf("weight-neutral epoch patched %d LP cells, want 0", n)
 	}
-	if res1.Timings.LPPivots != 0 {
-		t.Fatalf("weight-neutral epoch spent %d pivots, want 0", res1.Timings.LPPivots)
+	wantFree := 0.0
+	if warm {
+		if res1.Timings.LPPivots != 0 {
+			t.Fatalf("weight-neutral epoch spent %d pivots, want 0", res1.Timings.LPPivots)
+		}
+		wantFree = 1
+	} else if res1.Timings.LPPivots == 0 {
+		t.Fatal("cold epoch spent no pivots: the LP-free check below proves nothing")
 	}
-	if got := reg.Counter(obs.MAggLPFreeEpochs).Value(); got != 1 {
-		t.Fatalf("%s = %v, want 1", obs.MAggLPFreeEpochs, got)
+	if got := reg.Counter(obs.MAggLPFreeEpochs).Value(); got != wantFree {
+		t.Fatalf("warm=%v: %s = %v, want %v", warm, obs.MAggLPFreeEpochs, got, wantFree)
 	}
 	if !res1.AuditOK() {
 		t.Fatalf("epoch 1 misses the guarantee: %+v", res1.Audit)

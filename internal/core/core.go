@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/gapflow"
@@ -152,12 +151,10 @@ func DefaultOptions(seed uint64) Options {
 	return Options{C: 64, Seed: seed, MaxRetries: 8}
 }
 
-// Timings records per-stage wall-clock durations (T7 evidence that the LP
-// solve dominates, §5.1).
+// Timings records the size of the solve's LP and the simplex pivots it
+// took (summed over shards on the sharded path). Stage wall-clock times
+// live in Result.Stages.
 type Timings struct {
-	LP        time.Duration
-	Rounding  time.Duration
-	Integral  time.Duration
 	LPPivots  int
 	TotalVars int
 	TotalRows int
@@ -251,7 +248,8 @@ type ShardInfo struct {
 	ExchangeGap         float64
 	// Fallback reports that coordination could not feed every shard (a
 	// shard's LP stayed infeasible at the round cap) and the result came
-	// from a monolithic fallback solve instead.
+	// from a monolithic fallback solve instead; Levels still reports the
+	// coordination that ran before it.
 	Fallback bool
 }
 
@@ -405,23 +403,28 @@ func Solve(in *netmodel.Instance, opts Options) (*Result, error) {
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 8
 	}
-	// The sharded path needs at least two nonempty shards to be a
-	// decomposition at all (two real sinks — a viewer's streams are
-	// shard-atomic); LPOnly wants the monolithic fractional optimum.
 	var res *Result
 	var err error
-	switch {
-	case opts.Aggregate != nil:
+	if opts.Aggregate != nil {
 		res, err = solveAggregated(in, opts)
-	case opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly:
-		res, err = solveSharded(in, opts)
-	default:
-		res, err = solveMono(in, opts)
+	} else {
+		res, err = solveDirect(in, opts)
 	}
 	if err == nil {
 		recordSolve(opts.Obs, res)
 	}
 	return res, err
+}
+
+// solveDirect runs the unaggregated pipeline on in, sharded or monolithic.
+// The sharded path needs at least two nonempty shards to be a decomposition
+// at all (two real sinks — a viewer's streams are shard-atomic); LPOnly
+// wants the monolithic fractional optimum.
+func solveDirect(in *netmodel.Instance, opts Options) (*Result, error) {
+	if opts.Shards >= 2 && in.NumViewers() >= 2 && !opts.LPOnly {
+		return solveSharded(in, opts)
+	}
+	return solveMono(in, opts)
 }
 
 // recordSolve feeds the Result-derived solver counters into the metrics
@@ -479,7 +482,6 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 		Patch:   ps.patch,
 		LPStats: frac.Stats,
 		Timings: Timings{
-			LP:        tracker.wallOf("lp-build") + tracker.wallOf("lp-patch") + tracker.wallOf("lp-solve"),
 			LPPivots:  frac.Iterations,
 			TotalVars: ps.prob.NumVars(),
 			TotalRows: ps.prob.NumRows(),
@@ -496,9 +498,6 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 	var best *Result
 	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
 		ps.seed = opts.Seed + uint64(attempt)*0x9e3779b97f4a7c15
-
-		roundW := tracker.wallOf("round")
-		integralW := tracker.wallOf("integralize") + tracker.wallOf("repair")
 		if err := tracker.runAll(tail, ps); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -519,10 +518,6 @@ func solveMono(in *netmodel.Instance, opts Options) (*Result, error) {
 			Timings:      res.Timings,
 			Stages:       tracker.stats,
 		}
-		// Timings keeps its historical per-attempt semantics; Stages
-		// aggregates across attempts.
-		cand.Timings.Rounding = tracker.wallOf("round") - roundW
-		cand.Timings.Integral = tracker.wallOf("integralize") + tracker.wallOf("repair") - integralW
 
 		if best == nil || betterResult(cand, best) {
 			best = cand

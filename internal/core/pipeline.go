@@ -139,11 +139,16 @@ func (t *stageTracker) runAll(stages []Stage, ps *pipelineState) error {
 	return nil
 }
 
-// wallOf returns the accumulated wall time of a named stage (0 if it never
-// ran).
-func (t *stageTracker) wallOf(name string) time.Duration {
-	if i, ok := t.index[name]; ok {
-		return t.stats[i].Wall
+// StageWall sums the wall time of the named stages across the solve (0 for
+// stages that never ran).
+func (r *Result) StageWall(names ...string) time.Duration {
+	var d time.Duration
+	for _, st := range r.Stages {
+		for _, name := range names {
+			if st.Name == name {
+				d += st.Wall
+			}
+		}
 	}
-	return 0
+	return d
 }

@@ -54,20 +54,28 @@ func Reoptimize(in *netmodel.Instance, prior *netmodel.Design, stickiness float6
 	// Re-audit against the true instance (costs were biased).
 	out.Audit = netmodel.AuditDesign(in, res.Design)
 	out.LPCost = res.LPCost // LP bound of the biased problem; informational
-	if prior != nil {
-		for i := range prior.Serve {
-			if prior.Build[i] != res.Design.Build[i] {
-				out.ReflectorChurn++
-			}
-			for j := range prior.Serve[i] {
-				if prior.Serve[i][j] != res.Design.Serve[i][j] {
-					out.ArcChurn++
-				}
+	out.countChurn(in, prior)
+	return out, nil
+}
+
+// countChurn sets the churn counts of r's design against the prior
+// deployment on in (all zero without a prior).
+func (r *ReoptimizeResult) countChurn(in *netmodel.Instance, prior *netmodel.Design) {
+	r.ArcChurn, r.ReflectorChurn, r.StreamChurn, r.ViewerChurn = 0, 0, 0, 0
+	if prior == nil {
+		return
+	}
+	for i := range prior.Serve {
+		if prior.Build[i] != r.Design.Build[i] {
+			r.ReflectorChurn++
+		}
+		for j := range prior.Serve[i] {
+			if prior.Serve[i][j] != r.Design.Serve[i][j] {
+				r.ArcChurn++
 			}
 		}
-		out.ViewerChurn, out.StreamChurn = netmodel.ViewerChurn(in, prior, res.Design)
 	}
-	return out, nil
+	r.ViewerChurn, r.StreamChurn = netmodel.ViewerChurn(in, prior, r.Design)
 }
 
 // biased returns in with the prior design's reflectors, ingests and serve

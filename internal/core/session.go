@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/agg"
 	"repro/internal/lp"
 	"repro/internal/lpmodel"
@@ -111,11 +109,40 @@ func (s *Session) Observe(ds *netmodel.DirtySet) {
 // applies the epoch's deltas to in beforehand (reporting them via Observe
 // under IncrementalLP) — and deploys the result. The returned churn counts
 // compare against the previous epoch's design.
+//
+// Under Options.Aggregate the epoch is bracketed by the aggregate and
+// disaggregate stages: the accumulated dirty sets are folded through the
+// persistent viewer→super-sink state, the re-optimization — stickiness
+// bias, warm basis, shard state, incremental Patcher — runs entirely over
+// the aggregate instance, and the solved aggregate design is disaggregated
+// back to real viewers, sticky to the previous TRUE deployment. Churn and
+// the audit are then reported against the true instance.
 func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
+	dirty := s.pending
+	s.pending = nil
+	var fold *aggWrap
 	if s.opts.Aggregate != nil {
-		return s.stepAggregated(in)
+		var err error
+		fold, err = foldAgg(in, s.opts, func() (*agg.State, error) {
+			if s.aggState == nil {
+				// First epoch: Build summarizes the instance's current state
+				// directly, so dirt accumulated before it is already folded in.
+				st, err := agg.Build(in, *s.opts.Aggregate)
+				s.aggState, dirty = st, &netmodel.DirtySet{}
+				return st, err
+			}
+			dirty = s.aggState.Sync(in, dirty)
+			return s.aggState, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.opts.Obs.Counter(obs.MAggWeightChanges).Add(float64(len(dirty.SinkWeight)))
 	}
+	plane, planePrior := s.plane(in)
+
 	opts := s.opts
+	opts.Aggregate = nil
 	if s.WarmStart {
 		opts.WarmStart = s.basis
 		opts.ShardState = s.shardState
@@ -127,8 +154,6 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 		opts.ShardState = nil
 	}
 	if opts.IncrementalLP {
-		dirty := s.pending
-		s.pending = nil
 		// The stickiness discount moves with the deployed design: cost
 		// cells enter or leave the discounted set exactly where the new
 		// bias design differs from the previous epoch's. Those flips are
@@ -136,7 +161,7 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 		// dirty stream here.
 		var bias *netmodel.Design
 		if s.Stickiness > 0 {
-			bias = s.prior
+			bias = planePrior
 		}
 		if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
 			opts.Obs.Counter(obs.MBiasFlips).Add(float64(flips.Size()))
@@ -157,9 +182,21 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	// With no prior deployment Reoptimize applies no bias; the stickiness
 	// still gets range-checked there, so an invalid policy fails on the
 	// first step instead of being silently coerced.
-	res, err := Reoptimize(in, s.prior, s.Stickiness, opts)
+	res, err := Reoptimize(plane, planePrior, s.Stickiness, opts)
 	if err != nil {
 		return nil, err
+	}
+
+	if fold != nil {
+		if opts.IncrementalLP && lpFree(res.Result) {
+			opts.Obs.Counter(obs.MAggLPFreeEpochs).Inc()
+		}
+		s.aggPrior = res.Design
+		if err := fold.unfold(res.Result, s.prior); err != nil {
+			return nil, err
+		}
+		// Reoptimize's churn counts describe super-sinks, not viewers.
+		res.countChurn(in, s.prior)
 	}
 	s.prior = res.Design
 	s.basis = res.WarmStartBasis()
@@ -168,116 +205,27 @@ func (s *Session) Step(in *netmodel.Instance) (*ReoptimizeResult, error) {
 	return res, nil
 }
 
-// stepAggregated is Step on the aggregation plane (Options.Aggregate): the
-// epoch's accumulated dirty sets are folded through the persistent
-// viewer→super-sink state, the ordinary re-optimization — stickiness bias,
-// warm basis, shard state, incremental Patcher — runs entirely over the
-// aggregate instance, and the solved aggregate design is disaggregated back
-// to real viewers, sticky to the previous TRUE deployment. Churn and the
-// audit are reported against the true instance; the aggregate / disaggregate
-// stage walls bracket the inner pipeline's in Result.Stages.
-func (s *Session) stepAggregated(in *netmodel.Instance) (*ReoptimizeResult, error) {
-	tracker := newStageTracker(s.opts.StageMemStats, s.opts.Obs)
-	ps := &pipelineState{in: in, opts: s.opts}
+// plane returns the instance the session's LP state lives on and the
+// design deployed there: the aggregate instance and design once the
+// aggregation fold exists (Options.Aggregate), the true instance and
+// design otherwise.
+func (s *Session) plane(in *netmodel.Instance) (*netmodel.Instance, *netmodel.Design) {
+	if s.aggState != nil {
+		return s.aggState.Agg, s.aggPrior
+	}
+	return in, s.prior
+}
 
-	var aggDirty *netmodel.DirtySet
-	if err := tracker.run(Stage{Name: "aggregate", Run: func(*pipelineState) error {
-		pending := s.pending
-		s.pending = nil
-		if s.aggState == nil {
-			// First epoch: Build summarizes the instance's current state
-			// directly, so dirt accumulated before it is already folded in.
-			st, err := agg.Build(in, *s.opts.Aggregate)
-			if err != nil {
-				return err
-			}
-			s.aggState = st
-			aggDirty = &netmodel.DirtySet{}
-			return nil
-		}
-		aggDirty = s.aggState.Sync(in, pending)
-		return nil
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	recordAggShape(s.opts.Obs, s.aggState)
-
-	opts := s.opts
-	opts.Aggregate = nil
-	if s.WarmStart {
-		opts.WarmStart = s.basis
-		opts.ShardState = s.shardState
-	} else {
-		opts.WarmStart = nil
-		opts.ShardState = nil
-	}
-	lpFree := false
-	if opts.IncrementalLP {
-		dirty := aggDirty
-		var bias *netmodel.Design
-		if s.Stickiness > 0 {
-			bias = s.aggPrior
-		}
-		if flips := netmodel.DiffDesigns(s.lastBias, bias); flips != nil {
-			opts.Obs.Counter(obs.MBiasFlips).Add(float64(flips.Size()))
-			dirty.Merge(flips)
-		}
-		s.lastBias = bias
-		opts.patcher = s.patcher
-		opts.patchDirty = dirty
-		lpFree = s.steps > 0 && dirty.Empty()
-	}
-	if o := s.opts.Obs; o != nil && o.Reg != nil {
-		o.Counter(obs.MAggWeightChanges).Add(float64(len(aggDirty.SinkWeight)))
-		if lpFree {
-			o.Counter(obs.MAggLPFreeEpochs).Inc()
+// lpFree reports whether an incremental solve left the LP untouched: the
+// carried model was neither rebuilt nor patched — on every shard — and the
+// simplex spent no pivots.
+func lpFree(res *Result) bool {
+	untouched := res.Patch != nil && !res.Patch.Rebuilt && res.Patch.Patches() == 0
+	if si := res.ShardInfo; si != nil && !si.Fallback {
+		untouched = true
+		for k := range si.PerShardRebuilds {
+			untouched = untouched && si.PerShardRebuilds[k] == 0 && si.PerShardPatches[k] == 0
 		}
 	}
-	opts.Seed = s.opts.Seed + uint64(s.steps)*0xbf58476d1ce4e5b9
-
-	res, err := Reoptimize(s.aggState.Agg, s.aggPrior, s.Stickiness, opts)
-	if err != nil {
-		return nil, err
-	}
-	aggDesign := res.Design
-
-	if err := tracker.run(Stage{Name: "disaggregate", Run: func(*pipelineState) error {
-		res.Design = s.aggState.Disaggregate(in, aggDesign, s.prior)
-		res.Audit = netmodel.AuditDesign(in, res.Design)
-		return nil
-	}}, ps); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	// Churn against the previous TRUE deployment (the aggregate plane's
-	// churn numbers from Reoptimize describe super-sinks, not viewers).
-	res.ArcChurn, res.ReflectorChurn = 0, 0
-	if s.prior != nil {
-		for i := range s.prior.Serve {
-			if s.prior.Build[i] != res.Design.Build[i] {
-				res.ReflectorChurn++
-			}
-			for j := range s.prior.Serve[i] {
-				if s.prior.Serve[i][j] != res.Design.Serve[i][j] {
-					res.ArcChurn++
-				}
-			}
-		}
-		res.ViewerChurn, res.StreamChurn = netmodel.ViewerChurn(in, s.prior, res.Design)
-	} else {
-		res.ViewerChurn, res.StreamChurn = 0, 0
-	}
-
-	stages := make([]StageStats, 0, len(res.Stages)+2)
-	stages = append(stages, tracker.stats[0])
-	stages = append(stages, res.Stages...)
-	stages = append(stages, tracker.stats[1])
-	res.Stages = stages
-
-	s.prior = res.Design
-	s.aggPrior = aggDesign
-	s.basis = res.WarmStartBasis()
-	s.shardState = res.ShardState
-	s.steps++
-	return res, nil
+	return untouched && res.Timings.LPPivots == 0
 }

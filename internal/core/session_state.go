@@ -112,7 +112,6 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 	s := NewSession(opts, stickiness, warmStart)
 	s.steps = st.Steps
 
-	plane := in
 	if s.opts.Aggregate != nil {
 		if st.Agg == nil {
 			if st.Steps > 0 {
@@ -126,7 +125,6 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 				return nil, fmt.Errorf("core: restore: %w", err)
 			}
 			s.aggState = ast
-			plane = ast.Agg
 			if st.AggPrior != nil {
 				if err := checkDesignShape("aggregate", ast.Agg, st.AggPrior); err != nil {
 					return nil, err
@@ -145,6 +143,7 @@ func RestoreSession(in *netmodel.Instance, opts Options, stickiness float64, war
 		s.prior = st.Prior.Clone()
 	}
 
+	plane, _ := s.plane(in)
 	if st.Bias != nil && stickiness > 0 {
 		if err := checkDesignShape("bias", plane, st.Bias); err != nil {
 			return nil, err

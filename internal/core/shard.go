@@ -175,7 +175,7 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.ShardInfo = &ShardInfo{Shards: k, Fallback: true}
+		res.ShardInfo = &ShardInfo{Shards: k, Levels: 1, Fallback: true}
 		if hierarchical {
 			res.ShardInfo.Levels = 2
 		}
@@ -203,7 +203,6 @@ func solveSharded(in *netmodel.Instance, opts Options) (*Result, error) {
 		PathRounding: usePathRounding(in, opts),
 		Retries:      out.Retries,
 		Timings: Timings{
-			LP:        tracker.wallOf("shard-solve") + tracker.wallOf(stages[2].Name),
 			LPPivots:  out.Pivots,
 			TotalVars: out.Vars,
 			TotalRows: out.Rows,

@@ -37,3 +37,38 @@ func TestShardedFractionalAllocationMeetsGuarantee(t *testing.T) {
 		t.Fatalf("sharded solve fell back to monolithic: %+v", res.ShardInfo)
 	}
 }
+
+// TestShardedFallbackReportsLevels drives the monolithic fallback: with one
+// coordination round the capacity split cannot feed every shard of this
+// instance, so the solve falls back and must still ship an audited design.
+// ShardInfo.Levels reports the coordination that ran before the fallback,
+// exactly as a solve without fallback does.
+func TestShardedFallbackReportsLevels(t *testing.T) {
+	cfg := gen.DefaultClustered(2, 4, 2, 8)
+	cfg.Fanout = 6
+	in := gen.Clustered(cfg, 1)
+	in.Color, in.NumColors = nil, 0
+
+	for _, levels := range []int{1, 2} {
+		opts := DefaultOptions(7)
+		opts.Shards = 6
+		opts.ShardRounds = 1
+		if levels == 2 {
+			opts.ShardLevels = 2
+		}
+		res, err := Solve(in, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si := res.ShardInfo
+		if si == nil || !si.Fallback {
+			t.Fatalf("levels %d: solve did not fall back: %+v", levels, si)
+		}
+		if !res.AuditOK() {
+			t.Fatalf("levels %d: fallback design fails the audit: %v", levels, res.Audit)
+		}
+		if si.Levels != levels {
+			t.Fatalf("fallback ShardInfo.Levels = %d, want %d", si.Levels, levels)
+		}
+	}
+}

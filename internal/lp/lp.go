@@ -474,10 +474,6 @@ const (
 	// DantzigPricing scans every nonbasic column and enters the one with
 	// the most negative reduced cost (deterministic textbook rule).
 	DantzigPricing
-	// PartialPricing scans rotating blocks of columns and enters the best
-	// candidate of the first block containing one, trading iteration count
-	// for much cheaper pricing on very wide problems.
-	PartialPricing
 )
 
 // Options tunes the solver. The zero value selects sensible defaults.

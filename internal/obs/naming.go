@@ -107,7 +107,7 @@ var canonicalFamilies = []struct {
 	{MBiasFlips, KindCounter, "Stickiness-bias cost cells flipped by deployment changes between epochs."},
 	{MAggGroups, KindGauge, "Aggregates (weighted super-sinks) the LP solves over."},
 	{MAggUnits, KindGauge, "Aggregate demand units — the LP's sink axis under aggregation."},
-	{MAggLPFreeEpochs, KindCounter, "Epochs whose churn was weight-neutral inside every aggregate: no LP build, patch, or pivot."},
+	{MAggLPFreeEpochs, KindCounter, "Aggregated incremental epochs whose solve did no LP work: no rebuild, no patched cell on any shard, and zero pivots."},
 	{MAggWeightChanges, KindCounter, "Aggregate units whose member-subscription weight changed."},
 }
 

@@ -80,12 +80,7 @@ func superGroups(k, want int) [][]int {
 func (p *Plan) Exchange(solve SolveFunc) (*Outcome, error) {
 	k := p.Shards()
 	supers := superGroups(k, p.opts.SuperShards)
-	levels := 2
-	if p.opts.Levels < 2 {
-		// Degenerate single-level exchange: one super holding every leaf.
-		supers, levels = [][]int{allShards(k)}, 1
-	}
-	out := &Outcome{Levels: levels}
+	out := &Outcome{Levels: 2}
 	contestedSeen := make(map[int]bool)
 
 	for round := 1; round <= p.opts.Rounds; round++ {

@@ -228,9 +228,6 @@ type Plan struct {
 	Patchers []*lpmodel.Patcher
 }
 
-// traceRounds dumps coordination rounds to stdout (debug builds only).
-const traceRounds = false
-
 // Shards returns the shard count of the plan.
 func (p *Plan) Shards() int { return len(p.Sinks) }
 
@@ -787,9 +784,6 @@ func (p *Plan) Coordinate(solve SolveFunc) (*Outcome, error) {
 	for round := 1; round <= p.opts.Rounds; round++ {
 		use := p.usage()
 		contested, anyStarved := p.contested(use)
-		if traceRounds {
-			fmt.Printf("round %d: starved=%v contested=%v alloc0=%.2f\n", round, p.starved, contested, p.Alloc[0])
-		}
 		if !anyStarved && len(contested) == 0 {
 			break
 		}

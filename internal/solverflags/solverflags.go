@@ -29,7 +29,7 @@ type Flags struct {
 // Register declares the shared flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Pricing, "pricing", "devex", "simplex pricing rule: devex|dantzig|partial")
+	fs.StringVar(&f.Pricing, "pricing", "devex", "simplex pricing rule: devex|dantzig")
 	fs.IntVar(&f.RefactorEvery, "refactor-every", 0, "basis refactorization cadence in pivots (0 = auto: 16+2√rows)")
 	fs.IntVar(&f.Shards, "shards", 0, "≥2: solve one LP per commodity-region shard in parallel, with per-shard warm state (internal/shard)")
 	fs.IntVar(&f.ShardLevels, "shard-levels", 0, "2: fold shards into super-shards and clear capacity with the hierarchical dual-price exchange (needs -shards ≥ 2)")
@@ -48,10 +48,8 @@ func (f *Flags) Apply(opts *core.Options) error {
 		pricing = lp.DevexPricing
 	case "dantzig":
 		pricing = lp.DantzigPricing
-	case "partial":
-		pricing = lp.PartialPricing
 	default:
-		return fmt.Errorf("-pricing %q unknown (want devex|dantzig|partial)", f.Pricing)
+		return fmt.Errorf("-pricing %q unknown (want devex|dantzig)", f.Pricing)
 	}
 	switch {
 	case f.RefactorEvery < 0:

@@ -59,6 +59,7 @@ func TestApplyRejects(t *testing.T) {
 		flag string
 	}{
 		{[]string{"-pricing", "steepest"}, "-pricing"},
+		{[]string{"-pricing", "partial"}, "-pricing"},
 		{[]string{"-refactor-every", "-1"}, "-refactor-every"},
 		{[]string{"-shards", "-2"}, "-shards"},
 		{[]string{"-shard-levels", "3", "-shards", "4"}, "-shard-levels"},
