@@ -110,23 +110,22 @@ func TestIncrementalRebuildAcceptance(t *testing.T) {
 	}
 }
 
-// TestPersistentSolverAcceptance is the PR 6 acceptance gate on the
-// 50-epoch flash crowd: against the previous solver behavior (Dantzig
-// pricing, refactorize at every warm-start install), the current defaults
-// (devex pricing, persistent basis factorization) must (1) adopt carried
+// TestPersistentSolverAcceptance is the acceptance gate of the persistent
+// basis factorization on the 50-epoch flash crowd: against the previous
+// solver behavior (refactorize at every warm-start install), the current
+// default (persistent basis factorization) must (1) adopt carried
 // factorizations across the warm timeline, (2) perform strictly fewer
 // from-scratch refactorizations, (3) spend no more pivots — and the warm
 // churn re-solves must stay ≥2x cheaper in pivots than cold re-solves of
-// the same timeline under the previous behavior (they are ~14x cheaper;
-// the stack of warm starts + persistence + devex is what buys it). The
-// epoch wall must also drop: best-of-3 total wall, current vs previous.
+// the same timeline under the previous behavior (the stack of warm starts
+// + persistence is what buys it). The epoch wall must also drop: best-of-3
+// total wall, current vs previous.
 func TestPersistentSolverAcceptance(t *testing.T) {
 	sc := live.FlashCrowd(1, 50)
 	mk := func(prev bool, policy live.Policy) *live.RunReport {
 		t.Helper()
 		cfg := live.Config{Policy: policy}
 		if prev {
-			cfg.Solver.Pricing = lp.DantzigPricing
 			cfg.Solver.RefactorOnInstall = true
 		}
 		rep, err := live.Run(sc, cfg)
@@ -150,7 +149,7 @@ func TestPersistentSolverAcceptance(t *testing.T) {
 			cur.TotalRefactorizations, prev.TotalRefactorizations)
 	}
 	if cur.TotalPivots > prev.TotalPivots {
-		t.Fatalf("devex + persistence spent more pivots than the previous solver: %d vs %d",
+		t.Fatalf("persistence spent more pivots than the previous solver: %d vs %d",
 			cur.TotalPivots, prev.TotalPivots)
 	}
 	if cur.TotalPivots*2 > coldPrev.TotalPivots {

@@ -54,7 +54,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/live"
-	"repro/internal/lp"
 	"repro/internal/lpmodel"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -254,10 +253,9 @@ type incrRow struct {
 	Rebuilds  int  `json:"rebuilds"`
 	Identical bool `json:"identical"`
 	// The epoch-wall row: total wall of the same incremental timeline under
-	// the previous solver behavior (Dantzig pricing, refactorize at every
-	// warm-start install, re-extract every shard sub-instance) against the
-	// current defaults (devex pricing, persistent factorization, cached
-	// sub-instances), with the factorization telemetry of the default run.
+	// the previous solver behavior (refactorize at every warm-start install)
+	// against the current default (persistent factorization), with the
+	// factorization telemetry of the default run.
 	PrevSolverWallNS   int64   `json:"prev_solver_epoch_wall_ns"`
 	EpochWallNS        int64   `json:"epoch_wall_ns"`
 	EpochWallSpeedup   float64 `json:"epoch_wall_speedup"`
@@ -300,7 +298,7 @@ func incrSweep(outPath string, quick bool) error {
 		if err != nil {
 			return err
 		}
-		run := func(noIncr, pinInstall, dantzig bool) (*live.RunReport, error) {
+		run := func(noIncr, pinInstall bool) (*live.RunReport, error) {
 			cfg := live.Config{Policy: live.WarmStickyPolicy(), NoIncremental: noIncr}
 			cfg.Solver.Shards = jb.shards
 			// The identical-check arms pin refactorize-on-install: only the
@@ -308,26 +306,19 @@ func incrSweep(outPath string, quick bool) error {
 			// perturb near-tie pivots between the arms for reasons unrelated
 			// to the patched-LP equivalence the column records.
 			cfg.Solver.RefactorOnInstall = pinInstall
-			if dantzig {
-				cfg.Solver.Pricing = lp.DantzigPricing
-			}
 			return live.Run(sc, cfg)
 		}
-		base, err := run(true, true, false)
+		base, err := run(true, true)
 		if err != nil {
 			return fmt.Errorf("%s rebuild: %w", jb.name, err)
 		}
-		incr, err := run(false, true, false)
+		// The incremental identical-check arm doubles as the previous-solver
+		// arm of the epoch-wall pair: it refactorizes at every install.
+		incr, err := run(false, true)
 		if err != nil {
 			return fmt.Errorf("%s incremental: %w", jb.name, err)
 		}
-		// The epoch-wall pair: the same incremental timeline under the
-		// previous solver behavior vs the current defaults.
-		prev, err := run(false, true, true)
-		if err != nil {
-			return fmt.Errorf("%s prev-solver: %w", jb.name, err)
-		}
-		fast, err := run(false, false, false)
+		fast, err := run(false, false)
 		if err != nil {
 			return fmt.Errorf("%s default-solver: %w", jb.name, err)
 		}
@@ -342,7 +333,7 @@ func incrSweep(outPath string, quick bool) error {
 			Identical: base.TotalTrueCost == incr.TotalTrueCost &&
 				base.TotalPivots == incr.TotalPivots &&
 				base.TotalArcChurn == incr.TotalArcChurn,
-			PrevSolverWallNS:   prev.TotalWallNS,
+			PrevSolverWallNS:   incr.TotalWallNS,
 			EpochWallNS:        fast.TotalWallNS,
 			Refactorizations:   fast.TotalRefactorizations,
 			FTUpdates:          fast.TotalFTUpdates,
@@ -477,8 +468,9 @@ type aggRow struct {
 	// demand units the LP actually solves over (= the LP's sink axis).
 	Groups   int `json:"agg_groups"`
 	AggUnits int `json:"agg_units"`
-	// The one-shot aggregated solve (devex defaults): fold, solve, unfold.
+	// The one-shot aggregated solve: fold, solve, unfold, and its pivots.
 	AggWallNS     int64   `json:"agg_wall_ns"`
+	Pivots        int     `json:"pivots"`
 	AggCost       float64 `json:"agg_cost"`
 	CostPerViewer float64 `json:"agg_cost_per_viewer"`
 	AuditOK       bool    `json:"audit_ok"`
@@ -501,12 +493,10 @@ type aggRow struct {
 	LPFreeEpochs   int   `json:"lp_free_epochs"`
 	WeightChanges  int   `json:"agg_weight_changes"`
 	Patches        int   `json:"lp_patches"`
-	// The devex-at-scale re-measure (the PR-6 follow-up) on the aggregate
-	// LP: pivots and wall under both pricing rules at this size.
-	DevexPivots   int   `json:"devex_pivots"`
-	DantzigPivots int   `json:"dantzig_pivots"`
-	DevexWallNS   int64 `json:"devex_wall_ns"`
-	DantzigWallNS int64 `json:"dantzig_wall_ns"`
+	// Recoveries counts, per rung, the LP solves of the one-shot solve and
+	// the churn timeline that climbed a recovery rung past the cold solve
+	// (absent when none did).
+	Recoveries map[string]int `json:"lp_recoveries,omitempty"`
 }
 
 // aggBench is the BENCH_agg.json schema.
@@ -522,8 +512,8 @@ type aggBench struct {
 // LP, so two minutes is generous headroom, not a target. What matters is
 // that the bound holds FLAT as viewers scale — the aggregate LP's size
 // doesn't grow with V (the flat path forfeits outright past ~2000 sinks) —
-// and that the worst case, a repricing epoch that trips the devex-stall
-// recovery (a full extra cold solve), still fits on a contended CI core.
+// and that the worst case, a repricing epoch that trips a recovery rung (a
+// full extra cold solve), still fits on a contended CI core.
 const aggEpochWallBudget = 120 * time.Second
 
 // aggAnchors mirrors internal/agg's default grouping (each viewer labeled by
@@ -554,8 +544,8 @@ func aggAnchors(in *netmodel.Instance) []int {
 // each size folds a clustered footprint into weighted super-sinks, solves
 // one-shot (against the unaggregated reference where that LP is tractable),
 // then drives a short churn timeline through the incremental session —
-// including the weight-neutral swap that must solve LP-free — and re-measures
-// devex vs dantzig pricing on the aggregate LP. maxViewers gates the top
+// including the weight-neutral swap that must solve LP-free — counting the
+// recovery rungs the LP solves climbed. maxViewers gates the top
 // sizes: 10^5 is the default sweep, 10^6 the opt-in full footprint.
 func aggSweep(outPath string, quick bool, maxViewers int) error {
 	const regions, isps = 10, 5
@@ -600,8 +590,7 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		row.AggCost = res.Audit.Cost
 		row.CostPerViewer = res.Audit.Cost / float64(viewers)
 		row.AuditOK = res.AuditOK()
-		row.DevexPivots = res.Timings.LPPivots
-		row.DevexWallNS = row.AggWallNS
+		row.Pivots = res.Timings.LPPivots
 		row.Groups = int(reg.Gauge(obs.MAggGroups).Value())
 		row.AggUnits = int(reg.Gauge(obs.MAggUnits).Value())
 		if viewers == flatRefViewers {
@@ -618,19 +607,6 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		} else if refCPV > 0 {
 			row.CostPerViewerVsRef = row.CostPerViewer / refCPV
 		}
-
-		// Dantzig re-measure of the same aggregate LP (the PR-6 follow-up:
-		// does devex still pay once aggregation shrinks the sink axis?).
-		dopts := core.DefaultOptions(1)
-		dopts.Aggregate = &agg.Config{}
-		dopts.Pricing = lp.DantzigPricing
-		start = time.Now()
-		dres, err := core.Solve(in.Clone(), dopts)
-		if err != nil {
-			return fmt.Errorf("aggregated dantzig V=%d: %w", viewers, err)
-		}
-		row.DantzigWallNS = time.Since(start).Nanoseconds()
-		row.DantzigPivots = dres.Timings.LPPivots
 
 		// The churn timeline. Membership is fixed at the session's first
 		// Step, so the swap pair is chosen on the pristine instance.
@@ -697,6 +673,15 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		row.EpochWallOK = row.MaxEpochWallNS <= aggEpochWallBudget.Nanoseconds()
 		row.LPFreeEpochs = int(sreg.Counter(obs.MAggLPFreeEpochs).Value())
 		row.WeightChanges = int(sreg.Counter(obs.MAggWeightChanges).Value())
+		for _, rung := range []string{obs.RungTightRefactor, obs.RungDenseFallback, obs.RungEquilibratedClone} {
+			l := obs.L("rung", rung)
+			if n := int(reg.Counter(obs.MLPRecoveries, l).Value() + sreg.Counter(obs.MLPRecoveries, l).Value()); n > 0 {
+				if row.Recoveries == nil {
+					row.Recoveries = map[string]int{}
+				}
+				row.Recoveries[rung] = n
+			}
+		}
 
 		fmt.Printf("V=%d: %d groups / %d units | agg %v cost %.1f (auditOK=%v)",
 			viewers, row.Groups, row.AggUnits,
@@ -707,9 +692,9 @@ func aggSweep(outPath string, quick bool, maxViewers int) error {
 		} else if row.CostPerViewerVsRef > 0 {
 			fmt.Printf(" | cost/viewer %.3fx of reference", row.CostPerViewerVsRef)
 		}
-		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | pivots devex %d vs dantzig %d\n",
+		fmt.Printf(" | churn max epoch %v (ok=%v), %d lp-free, %d patches | %d pivots, recoveries %v\n",
 			time.Duration(row.MaxEpochWallNS).Round(time.Millisecond), row.EpochWallOK,
-			row.LPFreeEpochs, row.Patches, row.DevexPivots, row.DantzigPivots)
+			row.LPFreeEpochs, row.Patches, row.Pivots, row.Recoveries)
 		bench.Rows = append(bench.Rows, row)
 	}
 	data, err := json.MarshalIndent(bench, "", "  ")

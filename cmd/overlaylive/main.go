@@ -18,7 +18,6 @@
 //	overlaylive -scenario backbone -record trace.json    # save the delta schedule
 //	overlaylive -replay trace.json -policy warm          # replay a saved trace
 //	overlaylive -scenario diurnal -incremental=false     # full lp-build every epoch
-//	overlaylive -scenario flashcrowd -pricing dantzig    # solver pricing-rule override
 //	overlaylive -scenario flashcrowd -listen :8080       # live telemetry endpoint
 //	overlaylive -scenario diurnal -trace run.jsonl -flame # hierarchical solve trace
 //

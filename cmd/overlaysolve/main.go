@@ -5,8 +5,7 @@
 //
 //	overlaysolve -in instance.json [-o design.json] [-seed 1] [-c 64]
 //	             [-greedy] [-exact] [-lp-only] [-shards 8] [-shard-levels 2]
-//	             [-json report.json] [-pricing devex|dantzig]
-//	             [-refactor-every N] [-aggregate] [-prior design.json]
+//	             [-json report.json] [-aggregate] [-prior design.json]
 //	             [-stickiness 0.4]
 //
 // -greedy and -exact run the baseline / exact IP solver instead of the
@@ -16,7 +15,7 @@
 // path for thousands of sinks. -json writes a machine-readable report
 // (per-stage timings, audit, shard counters) next to the human output;
 // -trace writes the hierarchical solve trace (pipeline stages, per-shard
-// solves, simplex refactorization/adoption/devex events) as JSONL.
+// solves, simplex refactorization/adoption events) as JSONL.
 package main
 
 import (

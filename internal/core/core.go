@@ -63,12 +63,6 @@ type Options struct {
 	// so warm bases survive sink join/leave churn (see lpmodel.Options.
 	// FixedShape). The live engine sets this; static solves don't need it.
 	LPFixedShape bool
-	// Pricing selects the simplex entering rule (default lp.DevexPricing)
-	// and RefactorEvery overrides the basis refactorization cadence (0 =
-	// solver default) — both forwarded to every LP solve, per-shard ones
-	// included.
-	Pricing       lp.Pricing
-	RefactorEvery int
 	// RefactorOnInstall forces every warm-started LP solve to refactorize
 	// its basis at install instead of resuming a persisted factorization
 	// (the pre-persistence behavior; see lp.Options.RefactorOnInstall).
@@ -112,7 +106,7 @@ type Options struct {
 	// per-stage spans and wall/run metrics from the pipeline tracker, LP
 	// factorization events attached to the lp-solve span, per-shard child
 	// spans, and the Result-derived solver counters (pivots,
-	// refactorizations, FT adoptions, devex resets, patch cells, shard
+	// refactorizations, FT adoptions, recovery rungs, patch cells, shard
 	// coordination) fed once per top-level Solve. A nil Obs costs one nil
 	// check per site and leaves the solve byte-identical.
 	Obs *obs.Observer
@@ -193,7 +187,8 @@ type Result struct {
 	// rhs / objective cells the lp-patch stage rewrote.
 	Patch *lpmodel.PatchStats
 	// LPStats totals the solver's factorization events across the solve —
-	// refactorizations, adopted (persisted) factorizations, devex resets.
+	// refactorizations, adopted (persisted) factorizations — and the
+	// recovery rungs its LP solves climbed.
 	// For sharded solves it sums over shards.
 	LPStats lp.SolveStats
 	// ShardInfo summarizes the sharded path (nil for monolithic solves);
@@ -269,8 +264,6 @@ func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 	lpOpts := lpmodel.DefaultOptions(in)
 	lpOpts.CuttingPlane = !opts.DisableCuttingPlane
 	lpOpts.FixedShape = opts.LPFixedShape
-	lpOpts.Pricing = opts.Pricing
-	lpOpts.RefactorEvery = opts.RefactorEvery
 	lpOpts.RefactorOnInstall = opts.RefactorOnInstall
 	return lpOpts
 }
@@ -280,8 +273,6 @@ func lpOptions(in *netmodel.Instance, opts Options) lpmodel.Options {
 func solverOptions(opts Options) lp.Options {
 	return lp.Options{
 		WarmStart:         opts.WarmStart,
-		Pricing:           opts.Pricing,
-		RefactorEvery:     opts.RefactorEvery,
 		RefactorOnInstall: opts.RefactorOnInstall,
 	}
 }
@@ -297,8 +288,8 @@ func lpStages(ps *pipelineState) []Stage {
 		sopts := solverOptions(ps.opts)
 		if sp := ps.stageSpan; sp != nil {
 			// Surface the simplex internals on the lp-solve span:
-			// refactorizations, FT adoptions, and devex resets land as span
-			// events with their pivot iteration.
+			// refactorizations and FT adoptions land as span events
+			// with their pivot iteration.
 			sopts.Events = func(e lp.Event) {
 				sp.Event(e.Kind.String(), obs.A("iteration", e.Iteration))
 			}
@@ -439,7 +430,9 @@ func recordSolve(o *obs.Observer, res *Result) {
 	o.Counter(obs.MLPPivots).Add(float64(res.Timings.LPPivots))
 	o.Counter(obs.MLPRefactorizations).Add(float64(res.LPStats.Refactorizations))
 	o.Counter(obs.MLPFTUpdates).Add(float64(res.LPStats.FTUpdates))
-	o.Counter(obs.MLPDevexResets).Add(float64(res.LPStats.DevexResets))
+	o.Counter(obs.MLPRecoveries, obs.L("rung", obs.RungTightRefactor)).Add(float64(res.LPStats.TightRefactors))
+	o.Counter(obs.MLPRecoveries, obs.L("rung", obs.RungDenseFallback)).Add(float64(res.LPStats.DenseFallbacks))
+	o.Counter(obs.MLPRecoveries, obs.L("rung", obs.RungEquilibratedClone)).Add(float64(res.LPStats.EquilibratedClones))
 	if p := res.Patch; p != nil {
 		o.Counter(obs.MLPPatchedCells).Add(float64(p.Patches()))
 		if p.Rebuilt {

@@ -33,8 +33,14 @@ func TestSolveFeedsObserver(t *testing.T) {
 	if got := reg.Counter(obs.MLPRefactorizations).Value(); got != float64(res.LPStats.Refactorizations) {
 		t.Fatalf("refactorizations counter %v != result %d", got, res.LPStats.Refactorizations)
 	}
-	if got := reg.Counter(obs.MLPDevexResets).Value(); got != float64(res.LPStats.DevexResets) {
-		t.Fatalf("devex resets counter %v != result %d", got, res.LPStats.DevexResets)
+	for rung, n := range map[string]int{
+		obs.RungTightRefactor:     res.LPStats.TightRefactors,
+		obs.RungDenseFallback:     res.LPStats.DenseFallbacks,
+		obs.RungEquilibratedClone: res.LPStats.EquilibratedClones,
+	} {
+		if got := reg.Counter(obs.MLPRecoveries, obs.L("rung", rung)).Value(); got != float64(n) {
+			t.Fatalf("%s recoveries counter %v != result %d", rung, got, n)
+		}
 	}
 	for _, st := range res.Stages {
 		if got := reg.Counter(obs.MStageRuns, obs.L("stage", st.Name)).Value(); int(got) != st.Runs {
@@ -62,7 +68,7 @@ func TestSolveFeedsObserver(t *testing.T) {
 			t.Fatalf("stage %s: %d spans, want %d", st.Name, spans[st.Name], st.Runs)
 		}
 	}
-	if want := res.LPStats.Refactorizations + res.LPStats.FTUpdates + res.LPStats.DevexResets; events != want {
+	if want := res.LPStats.Refactorizations + res.LPStats.FTUpdates; events != want {
 		t.Fatalf("lp-solve spans carry %d simplex events, want %d", events, want)
 	}
 }

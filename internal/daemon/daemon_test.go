@@ -565,7 +565,7 @@ func TestDaemonInfeasibleEpochDegrades(t *testing.T) {
 	effortless := func(er EpochInfo) EpochInfo {
 		er = scrubWall(er)
 		er.Pivots, er.LPPatches, er.LPRebuilds = 0, 0, 0
-		er.Refactorizations, er.FTUpdates, er.DevexResets = 0, 0, 0
+		er.Refactorizations, er.FTUpdates = 0, 0
 		return er
 	}
 	for e, want := range []EpochInfo{good.Last, d.View().Last} {

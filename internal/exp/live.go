@@ -66,10 +66,8 @@ func L1FlashCrowd(cfg Config) *stats.Table {
 		}
 	}
 	// The ≥3x claim is for full-length timelines; the quick horizon packs
-	// events into nearly every epoch, and devex pricing compresses the cold
-	// baseline it is measured against (cold solves take far fewer pivots than
-	// under Dantzig), so its floor is 1.8x (the 50-epoch acceptance test in
-	// internal/live asserts the 3x claim directly).
+	// events into nearly every epoch, so its floor is 1.8x (the 50-epoch
+	// acceptance test in internal/live asserts the 3x claim directly).
 	floor := 3.0
 	if cfg.Quick {
 		floor = 1.8

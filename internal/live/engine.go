@@ -109,7 +109,6 @@ func (e *Engine) Step(deltas []netmodel.Delta) (EpochReport, *core.ReoptimizeRes
 	}
 	er.Refactorizations = res.LPStats.Refactorizations
 	er.FTUpdates = res.LPStats.FTUpdates
-	er.DevexResets = res.LPStats.DevexResets
 	if si := res.ShardInfo; si != nil {
 		er.ExtractionsSkipped = si.ExtractionsSkipped
 		er.ExchangeRounds = si.ExchangeRounds

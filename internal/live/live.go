@@ -201,12 +201,10 @@ type EpochReport struct {
 	// Solver factorization telemetry (summed over shards on the sharded
 	// path): Refactorizations counts from-scratch basis factorizations,
 	// FTUpdates warm starts that resumed a persisted factorization instead,
-	// DevexResets devex reference-framework resets, and ExtractionsSkipped
-	// the shards that reused their cached sub-instance without extraction
-	// (always 0 on the monolithic path).
+	// and ExtractionsSkipped the shards that reused their cached
+	// sub-instance without extraction (always 0 on the monolithic path).
 	Refactorizations   int `json:"refactorizations"`
 	FTUpdates          int `json:"ft_updates"`
-	DevexResets        int `json:"devex_resets"`
 	ExtractionsSkipped int `json:"extractions_skipped"`
 	// Hierarchical-exchange telemetry (zero unless the epoch ran with
 	// Solver.ShardLevels ≥ 2): dual-price clearing rounds, distinct
@@ -255,7 +253,6 @@ type RunReport struct {
 	// Solver factorization totals across epochs.
 	TotalRefactorizations   int `json:"total_refactorizations"`
 	TotalFTUpdates          int `json:"total_ft_updates"`
-	TotalDevexResets        int `json:"total_devex_resets"`
 	TotalExtractionsSkipped int `json:"total_extractions_skipped"`
 	TotalExchangeRounds     int `json:"total_exchange_rounds"`
 	// Availability SLO summary: the window/target the tracker ran with,
@@ -370,7 +367,6 @@ func Run(sc *Scenario, cfg Config) (*RunReport, error) {
 		rep.TotalLPRebuilds += er.LPRebuilds
 		rep.TotalRefactorizations += er.Refactorizations
 		rep.TotalFTUpdates += er.FTUpdates
-		rep.TotalDevexResets += er.DevexResets
 		rep.TotalExtractionsSkipped += er.ExtractionsSkipped
 		rep.TotalExchangeRounds += er.ExchangeRounds
 		if !er.AuditOK {

@@ -227,19 +227,18 @@ func TestFingerprintAdoptionRefusesChangedMatrix(t *testing.T) {
 	}
 }
 
-// TestDevexResetOnPatchedAdoption: adopting a factorization over a matrix
-// whose values moved since the snapshot (a nonbasic column patch — the
-// price-exchange master rescaling a capacity row) must declare a fresh devex
-// reference framework. The adoption itself still goes through without a
-// refactorization.
-func TestDevexResetOnPatchedAdoption(t *testing.T) {
+// TestAdoptionOverPatchedMatrix: a factorization stays adoptable over a
+// matrix whose values moved since the snapshot in a nonbasic column (the
+// price-exchange master rescaling a capacity row): the warm re-solve adopts
+// it without a refactorization and still reaches the optimum.
+func TestAdoptionOverPatchedMatrix(t *testing.T) {
 	p := randomCovering(7500)
 	first, err := p.Solve()
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("%v %v", first.Status, err)
 	}
 	// Patch a structural column that is NOT basic (a basic patch would
-	// force a refactorization, which resets devex anyway).
+	// force a refactorization).
 	target, row, pos := -1, -1, -1
 	for r := 0; r < p.NumRows() && target < 0; r++ {
 		for k := 0; k < p.RowLen(r); k++ {
@@ -266,11 +265,8 @@ func TestDevexResetOnPatchedAdoption(t *testing.T) {
 	if warm.Stats.Refactorizations != 0 {
 		t.Fatalf("nonbasic patch refactorized %d times", warm.Stats.Refactorizations)
 	}
-	if warm.Stats.DevexResets == 0 {
-		t.Fatal("adoption over a patched matrix did not reset the devex reference framework")
-	}
 
-	// Control: an unpatched same-problem re-solve adopts with NO reset.
+	// Control: an unpatched same-problem re-solve adopts too.
 	q := randomCovering(7501)
 	base, err := q.Solve()
 	if err != nil || base.Status != Optimal {
@@ -282,8 +278,5 @@ func TestDevexResetOnPatchedAdoption(t *testing.T) {
 	}
 	if clean.Stats.FTUpdates == 0 || clean.Stats.Refactorizations != 0 {
 		t.Fatalf("clean re-solve did not adopt: %+v", clean.Stats)
-	}
-	if clean.Stats.DevexResets != 0 {
-		t.Fatalf("clean adoption reset devex %d times", clean.Stats.DevexResets)
 	}
 }

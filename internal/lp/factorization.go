@@ -151,15 +151,6 @@ func (s *sparse) adoptFactorization(f *Factorization) bool {
 	if s.updates.count() >= s.refactorEvery {
 		return s.refactor()
 	}
-	// The matrix VALUES may have moved since the snapshot even though no
-	// basic column did — nonbasic coefficient patches (the price-exchange
-	// master rescaling contested capacity rows) and cross-Problem adoptions
-	// both land here. The devex reference weights describe the pre-patch
-	// pricing geometry; without a reset the re-solve can chase stale
-	// steepest-edge estimates into a degenerate stall.
-	if !sameProb || f.ver != s.p.patchVer {
-		s.resetDevex()
-	}
 	s.computeBeta()
 	return true
 }

@@ -23,9 +23,8 @@
 //     partial pivoting over the current basis columns) every RefactorEvery
 //     pivots — the refactorization cadence bounds both eta-file growth and
 //     accumulated floating-point drift.
-//   - Pricing: devex (approximate steepest-edge reference weights, reset at
-//     each refactorization) by default, with Dantzig and rotating partial
-//     pricing selectable via Options and a Bland fallback for anti-cycling.
+//   - Pricing: Dantzig (most negative reduced cost), with a Bland fallback
+//     for anti-cycling.
 //   - Phases: a cold solve runs the classic two phases — artificials are
 //     priced out first, then the true objective — while a warm solve skips
 //     phase 1 entirely when the supplied basis is already primal feasible
@@ -363,31 +362,43 @@ func (b *Basis) compatible(p *Problem) bool {
 }
 
 // SolveStats counts the factorization-level events of a solve, surfaced so
-// the re-optimization loop can see where warm starts spend their time. All
-// counters are totals across the recovery ladder (warm attempt + any cold
-// fallback).
+// the re-optimization loop can see where warm starts spend their time, and
+// the recovery rungs the solve climbed past the cold attempt. All counters
+// are totals across the recovery ladder (warm attempt + any fallback).
 type SolveStats struct {
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
 	// FTUpdates counts warm-start installs that adopted a carried
 	// factorization (product-form resume) instead of refactorizing.
 	FTUpdates int
-	// DevexResets counts devex reference-framework resets (one per
-	// refactorization under devex pricing).
+	// DevexResets always reads 0: the solver has one entering rule
+	// (Dantzig) and no devex reference framework to reset. The field stays
+	// for callers that still read it.
 	DevexResets int
+	// TightRefactors counts re-solves with a tight refactorization cadence
+	// after a cold optimum failed the feasibility audit.
+	TightRefactors int
+	// DenseFallbacks counts solves handed to the dense reference solver
+	// after the tight-refactor re-solve also failed.
+	DenseFallbacks int
+	// EquilibratedClones counts re-solves of the row-equilibrated clone
+	// after a cold solve broke down numerically.
+	EquilibratedClones int
 }
 
 // Add accumulates o into s.
 func (s *SolveStats) Add(o SolveStats) {
 	s.Refactorizations += o.Refactorizations
 	s.FTUpdates += o.FTUpdates
-	s.DevexResets += o.DevexResets
+	s.TightRefactors += o.TightRefactors
+	s.DenseFallbacks += o.DenseFallbacks
+	s.EquilibratedClones += o.EquilibratedClones
 }
 
 // EventKind identifies a solver-internal occurrence surfaced through
-// Options.Events. The kinds mirror the SolveStats counters one-to-one, so an
-// Events subscriber sees each counted event as it happens (with its pivot
-// iteration) instead of only the totals.
+// Options.Events. The kinds mirror the factorization counters of SolveStats
+// one-to-one, so an Events subscriber sees each counted event as it happens
+// (with its pivot iteration) instead of only the totals.
 type EventKind int
 
 // Solver-internal event kinds.
@@ -398,8 +409,6 @@ const (
 	// EventFTAdoption fires when a warm-start install adopts a carried
 	// factorization instead of refactorizing.
 	EventFTAdoption
-	// EventDevexReset fires when the devex reference framework resets.
-	EventDevexReset
 )
 
 func (k EventKind) String() string {
@@ -408,8 +417,6 @@ func (k EventKind) String() string {
 		return "refactorization"
 	case EventFTAdoption:
 		return "ft-adoption"
-	case EventDevexReset:
-		return "devex-reset"
 	}
 	return "unknown"
 }
@@ -460,22 +467,6 @@ func (sol *Solution) DualsFor(rows []int) []float64 {
 	return out
 }
 
-// Pricing selects the entering-variable rule of the sparse solver.
-type Pricing int
-
-const (
-	// DevexPricing (the default) prices with approximate steepest-edge
-	// reference weights (Harris's devex): each nonbasic column scores
-	// d_j²/w_j, weights update after every pivot from the pivot row, and the
-	// reference framework resets at each refactorization. Typically several-
-	// fold fewer pivots than Dantzig on larger LPs for one extra BTRAN per
-	// pivot.
-	DevexPricing Pricing = iota
-	// DantzigPricing scans every nonbasic column and enters the one with
-	// the most negative reduced cost (deterministic textbook rule).
-	DantzigPricing
-)
-
 // Options tunes the solver. The zero value selects sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across all phases (default
@@ -496,18 +487,17 @@ type Options struct {
 	// many pivots (default 16 + 2*sqrt(rows)). Lower values trade time for
 	// numerical robustness.
 	RefactorEvery int
-	// Pricing selects the entering rule (default DevexPricing).
-	Pricing Pricing
 	// RefactorOnInstall forces every warm-start install to refactorize from
 	// scratch instead of adopting a carried Basis.Fact — the pre-persistence
 	// behavior, kept as an escape hatch and as the reference arm of the
 	// persistence equivalence tests.
 	RefactorOnInstall bool
 	// Events, when non-nil, receives solver-internal events (sparse solver
-	// only) as they happen — one call per SolveStats increment. The callback
-	// runs on the solving goroutine inside the pivot loop; it must be cheap
-	// and must not call back into the solver. Used by the observability layer
-	// to attach refactorization/FT-adoption/devex-reset events to trace spans.
+	// only) as they happen — one call per Refactorizations or FTUpdates
+	// increment. The callback runs on the solving goroutine inside the pivot
+	// loop; it must be cheap and must not call back into the solver. Used by
+	// the observability layer to attach refactorization and FT-adoption
+	// events to trace spans.
 	Events func(Event)
 }
 

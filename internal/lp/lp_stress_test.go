@@ -9,12 +9,18 @@ import (
 	"repro/internal/stats"
 )
 
-// TestParallelMatchesSerial: the goroutine-parallel tableau elimination must
-// produce bit-identical pivots to the serial path (it partitions rows, no
-// reductions), hence identical optima.
+// TestParallelMatchesSerial: the dense reference solver's goroutine-parallel
+// tableau elimination must produce bit-identical pivots to the serial path
+// (it partitions rows, no reductions), hence identical iteration counts and
+// bit-identical optima. The LP is sized past the m·n ≥ 2^18 parallel
+// threshold, so the parallel arm really runs the parallel elimination the
+// production dense fallback uses on large LPs.
 func TestParallelMatchesSerial(t *testing.T) {
-	rng := stats.NewRNG(31)
-	nVars, nRows := 160, 140 // big enough to cross the parallel threshold
+	// Wide and shallow (64 rows keep the pivot count and the race-detector
+	// run cheap), and dense enough that every row shares columns with the
+	// others, so a row the parallel elimination skipped or mangled changes
+	// the pivots.
+	nVars, nRows, perRow := 4000, 64, 500
 	build := func() *Problem {
 		r := stats.NewRNG(77)
 		p := NewProblem(nVars)
@@ -23,30 +29,45 @@ func TestParallelMatchesSerial(t *testing.T) {
 			p.SetBounds(j, 0, 1)
 		}
 		for i := 0; i < nRows; i++ {
-			coefs := make([]Coef, 0, 12)
-			for c := 0; c < 12; c++ {
+			coefs := make([]Coef, 0, perRow)
+			for c := 0; c < perRow; c++ {
 				coefs = append(coefs, Coef{r.Intn(nVars), r.Range(0.1, 1)})
 			}
 			p.AddConstraint(GE, r.Range(0.3, 2), coefs...)
 		}
 		return p
 	}
-	_ = rng
-	pSerial := build()
-	solSerial, err := pSerial.SolveOpts(Options{SerialOnly: true})
+	serialOpts := Options{Dense: true, SerialOnly: true}
+	parOpts := Options{Dense: true}
+	if newDenseSimplex(build(), serialOpts).parallel {
+		t.Fatal("SerialOnly arm runs the parallel elimination")
+	}
+	ds := newDenseSimplex(build(), parOpts)
+	if !ds.parallel {
+		t.Fatalf("%d×%d tableau is below the parallel threshold", ds.m, ds.n)
+	}
+	solSerial, err := build().SolveOpts(serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pPar := build()
-	solPar, err := pPar.SolveOpts(Options{})
+	solPar, err := build().SolveOpts(parOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solSerial.Status != solPar.Status {
-		t.Fatalf("status mismatch: %v vs %v", solSerial.Status, solPar.Status)
+	if solSerial.Status != Optimal || solPar.Status != Optimal {
+		t.Fatalf("status serial=%v parallel=%v, want optimal", solSerial.Status, solPar.Status)
 	}
-	if solSerial.Status == Optimal && math.Abs(solSerial.Objective-solPar.Objective) > 1e-7 {
-		t.Fatalf("objective mismatch: %.12f vs %.12f", solSerial.Objective, solPar.Objective)
+	t.Logf("%d pivots on a %d×%d tableau", solPar.Iterations, ds.m, ds.n)
+	if solSerial.Iterations != solPar.Iterations {
+		t.Fatalf("iterations serial=%d parallel=%d", solSerial.Iterations, solPar.Iterations)
+	}
+	if math.Float64bits(solSerial.Objective) != math.Float64bits(solPar.Objective) {
+		t.Fatalf("objective serial=%.17g parallel=%.17g", solSerial.Objective, solPar.Objective)
+	}
+	for j := range solSerial.X {
+		if math.Float64bits(solSerial.X[j]) != math.Float64bits(solPar.X[j]) {
+			t.Fatalf("x[%d] serial=%.17g parallel=%.17g", j, solSerial.X[j], solPar.X[j])
+		}
 	}
 }
 

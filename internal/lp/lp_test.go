@@ -439,9 +439,9 @@ func TestIterationLimit(t *testing.T) {
 
 // TestIterationLimitNoRetry locks the recovery-ladder guard: IterLimit from
 // a genuinely exhausted pivot budget must be returned as-is, without the
-// alternate-pricing re-solve (that rung is for numerical breakdowns that
-// stop LONG before the budget — re-burning the whole budget on a second
-// pricing rule would double every deliberately budget-capped solve).
+// row-equilibrated re-solve (that rung is for numerical breakdowns that
+// stop LONG before the budget — re-burning the whole budget on the clone
+// would double every deliberately budget-capped solve).
 func TestIterationLimitNoRetry(t *testing.T) {
 	const n = 12
 	p := NewProblem(n)
@@ -467,6 +467,9 @@ func TestIterationLimitNoRetry(t *testing.T) {
 	}
 	if sol.Iterations > budget {
 		t.Fatalf("spent %d pivots on a %d-pivot budget — the exhausted solve must not retry", sol.Iterations, budget)
+	}
+	if sol.Stats.EquilibratedClones != 0 {
+		t.Fatalf("exhausted solve re-solved the equilibrated clone %d times", sol.Stats.EquilibratedClones)
 	}
 }
 
@@ -509,6 +512,72 @@ func TestRowEquilibratedCloneSameLP(t *testing.T) {
 	// row scaling never touches the variables.
 	if err := p.CheckFeasible(got.X, 1e-6); err != nil {
 		t.Fatalf("clone optimum infeasible for the original rows: %v", err)
+	}
+}
+
+// badlyScaled builds a random LP whose coefficients span nine orders of
+// magnitude with mixed signs: the conditioning that drives the sparse
+// solver off its cold path and up the recovery ladder.
+func badlyScaled(seed uint64) *Problem {
+	r := stats.NewRNG(seed)
+	n := 40 + r.Intn(60)
+	m := 20 + r.Intn(40)
+	p := NewProblem(n)
+	for j := 0; j < n; j++ {
+		p.SetObjectiveCoef(j, r.Range(0.1, 3))
+		p.SetBounds(j, 0, math.Inf(1))
+	}
+	for i := 0; i < m; i++ {
+		k := 3 + r.Intn(8)
+		coefs := make([]Coef, 0, k)
+		for c := 0; c < k; c++ {
+			v := math.Pow(10, r.Range(-4, 5))
+			if r.Intn(3) == 0 {
+				v = -v
+			}
+			coefs = append(coefs, Coef{r.Intn(n), v})
+		}
+		rel := GE
+		if r.Intn(3) == 0 {
+			rel = LE
+		}
+		p.AddConstraint(rel, math.Pow(10, r.Range(-2, 4)), coefs...)
+	}
+	return p
+}
+
+// TestRecoveryRungsCounted drives each rung of the recovery ladder and
+// checks that SolveStats counts exactly the rungs climbed, that the work of
+// the failed attempts stays in the totals (the dense fallback included), and
+// that every rescued optimum is feasible for the original rows.
+func TestRecoveryRungsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		seed                 uint64
+		tight, dense, clones int
+	}{
+		{344, 1, 0, 0}, // audit failure, rescued by the tight refactor
+		{7, 1, 1, 0},   // audit failure twice, rescued by the dense solver
+		{261, 0, 0, 1}, // early iteration limit, rescued by the clone
+	} {
+		p := badlyScaled(tc.seed)
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sol.Stats
+		if st.TightRefactors != tc.tight || st.DenseFallbacks != tc.dense || st.EquilibratedClones != tc.clones {
+			t.Fatalf("seed %d: rungs tight=%d dense=%d clones=%d, want %d/%d/%d",
+				tc.seed, st.TightRefactors, st.DenseFallbacks, st.EquilibratedClones, tc.tight, tc.dense, tc.clones)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("seed %d: status %v after the ladder", tc.seed, sol.Status)
+		}
+		if err := p.CheckFeasible(sol.X, 1e-6); err != nil {
+			t.Fatalf("seed %d: rescued optimum infeasible: %v", tc.seed, err)
+		}
+		if st.Refactorizations == 0 {
+			t.Fatalf("seed %d: the failed attempts' refactorizations were dropped", tc.seed)
+		}
 	}
 }
 

@@ -257,7 +257,6 @@ type sparse struct {
 	iters    int
 	maxIters int
 	bland    bool
-	devexW   []float64 // devex reference weights, nil unless DevexPricing
 	stats    SolveStats
 
 	// scratch, sized m
@@ -331,29 +330,7 @@ func newSparse(p *Problem, opts Options) *sparse {
 		// grows with √m.
 		s.refactorEvery = 16 + 2*int(math.Sqrt(float64(m)))
 	}
-	if opts.Pricing == DevexPricing {
-		s.devexW = make([]float64, s.ncols)
-		for j := range s.devexW {
-			s.devexW[j] = 1
-		}
-	}
 	return s
-}
-
-// resetDevex restores the unit reference framework: every column's weight
-// becomes 1, declaring the CURRENT nonbasic set the reference frame the
-// weights approximate steepest-edge norms against. Called after every
-// refactorization — the weights are only meaningful relative to a basis
-// trajectory, and a rebuilt factorization starts a new one.
-func (s *sparse) resetDevex() {
-	if s.devexW == nil {
-		return
-	}
-	for j := range s.devexW {
-		s.devexW[j] = 1
-	}
-	s.stats.DevexResets++
-	s.emit(EventDevexReset)
 }
 
 // emit forwards a solver-internal event to the Options.Events subscriber,
@@ -671,7 +648,6 @@ func (s *sparse) refactor() bool {
 	s.computeBeta()
 	s.stats.Refactorizations++
 	s.emit(EventRefactorization)
-	s.resetDevex()
 	return true
 }
 
@@ -735,9 +711,6 @@ func (s *sparse) chooseEntering(y []float64) (int, float64) {
 		}
 		return -1, 0
 	}
-	if s.devexW != nil {
-		return s.chooseDevex(y)
-	}
 	// Dantzig pricing, inlined per column class for the hot path:
 	// structural columns price against their CSC slice, slacks against a
 	// single row of y; artificials never re-enter.
@@ -775,99 +748,6 @@ func (s *sparse) chooseEntering(y []float64) (int, float64) {
 		}
 	}
 	return bestJ, bestDir
-}
-
-// chooseDevex prices with devex reference weights: among columns whose
-// reduced cost violates optimality by more than tolCost, enter the one
-// maximizing d_j²/w_j, where w_j approximates the steepest-edge norm of the
-// column relative to the reference framework of the last reset. Dantzig's
-// most-negative-d rule ignores how far a unit step along the column actually
-// moves the solution, which costs it several-fold more pivots on larger
-// LPs; dividing by the reference weight restores that scale at one extra
-// BTRAN per pivot (devexUpdate).
-func (s *sparse) chooseDevex(y []float64) (int, float64) {
-	w := s.devexW
-	bestJ, bestDir, bestScore := -1, 0.0, 0.0
-	for j := 0; j < s.n; j++ {
-		st := s.stat[j]
-		if st == basic || s.chi[j] <= s.clo[j] {
-			continue
-		}
-		c := s.ccost[j]
-		for q := s.csc.colPtr[j]; q < s.csc.colPtr[j+1]; q++ {
-			c -= y[s.csc.rowIdx[q]] * s.csc.val[q]
-		}
-		if st == atLower {
-			if -c > tolCost {
-				if sc := c * c / w[j]; sc > bestScore {
-					bestJ, bestDir, bestScore = j, 1, sc
-				}
-			}
-		} else if c > tolCost {
-			if sc := c * c / w[j]; sc > bestScore {
-				bestJ, bestDir, bestScore = j, -1, sc
-			}
-		}
-	}
-	for r := 0; r < s.m; r++ {
-		j := s.n + r
-		st := s.stat[j]
-		if st == basic || s.chi[j] <= 0 {
-			continue
-		}
-		c := -y[r] * s.slackSign[r] // slack cost is 0 in both phases
-		if st == atLower {
-			if -c > tolCost {
-				if sc := c * c / w[j]; sc > bestScore {
-					bestJ, bestDir, bestScore = j, 1, sc
-				}
-			}
-		} else if c > tolCost {
-			if sc := c * c / w[j]; sc > bestScore {
-				bestJ, bestDir, bestScore = j, -1, sc
-			}
-		}
-	}
-	return bestJ, bestDir
-}
-
-// devexUpdate refreshes the reference weights after choosing the pivot
-// (entering column `enter`, leaving row r, pivot element alphaQ = d[r]),
-// before the basis change: w_j ← max(w_j, (α_j/α_q)²·w_q) for every
-// nonbasic column, and the leaving variable re-enters the nonbasic set with
-// w ← max(w_q/α_q², 1). α_j is the pivot-row entry of column j, computed
-// from one BTRAN of e_r against the pre-pivot factorization. Artificials
-// are skipped: they never re-enter, so their weights are never read.
-func (s *sparse) devexUpdate(enter, r int, alphaQ float64) {
-	w := s.devexW
-	wq := w[enter]
-	if wq < 1 {
-		wq = 1
-	}
-	ratio := wq / (alphaQ * alphaQ)
-	rho := s.yBuf // y is dead after chooseEntering; safe to overwrite
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[r] = 1
-	s.btran(rho)
-	for j := 0; j < s.n+s.m; j++ {
-		if s.stat[j] == basic || j == enter {
-			continue
-		}
-		alpha := s.rowDot(j, rho)
-		if alpha == 0 {
-			continue
-		}
-		if nw := alpha * alpha * ratio; nw > w[j] {
-			w[j] = nw
-		}
-	}
-	lw := ratio
-	if lw < 1 {
-		lw = 1
-	}
-	w[s.basis[r]] = lw
 }
 
 // iterate runs primal simplex pivots until optimal/unbounded/limit.
@@ -959,9 +839,6 @@ func (s *sparse) ratioTestAndPivot(j int, dir float64, d []float64) Status {
 			s.stat[j] = atLower
 		}
 		return 0
-	}
-	if s.devexW != nil {
-		s.devexUpdate(j, leaveRow, d[leaveRow])
 	}
 	leaving := s.basis[leaveRow]
 	if leaveToUpper {
@@ -1371,7 +1248,7 @@ func (s *sparse) snapshotBasis() *Basis {
 // rows that mix O(10^3) aggregate unit loads with O(10) fanout coefficients
 // feed the eta file pivots of wildly different magnitude, and the
 // accumulated error eventually presents as a singular basis or a failed
-// ratio test under EVERY pricing rule. The returned scale vector holds the
+// ratio test. The returned scale vector holds the
 // per-row divisors, which is what maps the clone's duals back: clone row r
 // is row_r/scale_r with rhs_r/scale_r, so the original shadow price is
 // y_clone[r]/scale[r].
@@ -1405,14 +1282,14 @@ func (p *Problem) rowEquilibratedClone() (*Problem, []float64) {
 }
 
 // solveSparse orchestrates the sparse solver with a recovery ladder: warm
-// start (when offered and usable) → cold solve → cold solve with a tight
-// refactorization cadence → dense reference solver. Every claimed optimum
-// is audited against the original rows before being returned. A cold solve
-// that breaks down numerically long before its pivot budget (singular basis,
-// failed ratio test) additionally retries under the alternate pricing rule,
-// which walks a different path through the degenerate vertices, and then on
-// a row-equilibrated clone of the problem, which removes the conditioning
-// that caused the breakdown in the first place.
+// start (when offered and usable) → cold solve. A cold optimum that fails
+// the feasibility audit re-solves with a tight refactorization cadence, then
+// falls back to the dense reference solver. A cold solve that breaks down
+// numerically long before its pivot budget (singular basis, failed ratio
+// test) re-solves a row-equilibrated clone of the problem, which removes the
+// conditioning that caused the breakdown. Every claimed optimum is audited
+// against the original rows before being returned; SolveStats counts each
+// rung climbed past the cold solve.
 func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	totalIters := 0
 	var totalStats SolveStats
@@ -1457,6 +1334,7 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 			// basis before surrendering to the dense reference solver.
 			tight := opts
 			tight.RefactorEvery = 16
+			totalStats.TightRefactors++
 			s2 := newSparse(p, tight)
 			st2 := s2.runCold()
 			totalIters += s2.iters
@@ -1466,9 +1344,11 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 					return finish(s2, st2), nil
 				}
 			}
+			totalStats.DenseFallbacks++
 			sol, err := p.solveDense(opts)
 			if err == nil {
 				sol.Iterations += totalIters
+				sol.Stats = totalStats
 			}
 			return sol, err
 		}
@@ -1476,57 +1356,36 @@ func (p *Problem) solveSparse(opts Options) (*Solution, error) {
 	if st == IterLimit && s.iters < s.maxIters {
 		// IterLimit with pivots to spare is a numerical breakdown — a basis
 		// that went singular or a ratio test that found no finite step — not
-		// a genuine budget exhaustion. The pricing rule steered the solve
-		// into that corner (devex reference weights concentrate on degenerate
-		// columns; heavily weighted aggregate LPs trip this), so retry cold
-		// under the alternate rule. Eager refactorization alone does NOT
-		// recover these solves — the alternate pivot path is what escapes.
-		alt := opts
-		if opts.Pricing == DantzigPricing {
-			alt.Pricing = DevexPricing
-		} else {
-			alt.Pricing = DantzigPricing
-		}
-		s2 := newSparse(p, alt)
-		st2 := s2.runCold()
-		totalIters += s2.iters
-		totalStats.Add(s2.stats)
-		if st2 == Optimal {
-			if x := s2.extract(); p.CheckFeasible(x, 1e-6) == nil {
-				return finish(s2, st2), nil
-			}
-		}
-		// Both pricing rules broke down: the conditioning of the rows
-		// themselves is the problem (heavily weighted aggregate rows mixing
-		// O(10^3) and O(10) coefficients do this to the eta file). Re-solve a
-		// row-equilibrated clone — the identical LP, renormalized — under
-		// each rule. The clone's x IS a solution of p (row scaling never
-		// touches the variables), audited against p's own rows below. The
-		// basis is NOT carried out: its factorization is of the scaled rows
-		// and must not warm-start the original problem.
-		for _, o := range []Options{opts, alt} {
-			q, scale := p.rowEquilibratedClone()
-			s3 := newSparse(q, o)
-			st3 := s3.runCold()
-			totalIters += s3.iters
-			totalStats.Add(s3.stats)
-			if st3 == Optimal {
-				if x := s3.extract(); p.CheckFeasible(x, 1e-6) == nil {
-					// The clone's duals price the SCALED rows; undo the
-					// per-row divisor so the caller sees p's shadow prices.
-					duals := append([]float64(nil), s3.btranCost()[:s3.m]...)
-					for r := range duals {
-						duals[r] /= scale[r]
-					}
-					return &Solution{
-						Status:     Optimal,
-						X:          x,
-						Objective:  p.objectiveOf(x),
-						Iterations: totalIters,
-						Stats:      totalStats,
-						Duals:      duals,
-					}, nil
+		// a genuine budget exhaustion. The conditioning of the rows is the
+		// problem (heavily weighted aggregate rows mixing O(10^3) and O(10)
+		// coefficients do this to the eta file), so re-solve a
+		// row-equilibrated clone: the identical LP, renormalized. The clone's
+		// x IS a solution of p (row scaling never touches the variables),
+		// audited against p's own rows below. The basis is NOT carried out:
+		// its factorization is of the scaled rows and must not warm-start
+		// the original problem.
+		q, scale := p.rowEquilibratedClone()
+		totalStats.EquilibratedClones++
+		s3 := newSparse(q, opts)
+		st3 := s3.runCold()
+		totalIters += s3.iters
+		totalStats.Add(s3.stats)
+		if st3 == Optimal {
+			if x := s3.extract(); p.CheckFeasible(x, 1e-6) == nil {
+				// The clone's duals price the SCALED rows; undo the
+				// per-row divisor so the caller sees p's shadow prices.
+				duals := append([]float64(nil), s3.btranCost()[:s3.m]...)
+				for r := range duals {
+					duals[r] /= scale[r]
 				}
+				return &Solution{
+					Status:     Optimal,
+					X:          x,
+					Objective:  p.objectiveOf(x),
+					Iterations: totalIters,
+					Stats:      totalStats,
+					Duals:      duals,
+				}, nil
 			}
 		}
 	}

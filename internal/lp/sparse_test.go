@@ -213,36 +213,6 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	}
 }
 
-// TestDevexPricingMatchesDantzig: devex (the default) changes the pivot
-// path, never the optimum — and on the covering family it must not spend
-// more pivots in aggregate than Dantzig's steepest-coefficient rule.
-func TestDevexPricingMatchesDantzig(t *testing.T) {
-	agg := struct{ devex, dantzig int }{}
-	for trial := 0; trial < 30; trial++ {
-		seed := uint64(7000 + trial)
-		dv, err := randomCovering(seed).SolveOpts(Options{Pricing: DevexPricing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dz, err := randomCovering(seed).SolveOpts(Options{Pricing: DantzigPricing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dv.Status != dz.Status {
-			t.Fatalf("trial %d: status %v vs %v", trial, dv.Status, dz.Status)
-		}
-		if dv.Status == Optimal && math.Abs(dv.Objective-dz.Objective) > 1e-6 {
-			t.Fatalf("trial %d: %.9f vs %.9f", trial, dv.Objective, dz.Objective)
-		}
-		agg.devex += dv.Iterations
-		agg.dantzig += dz.Iterations
-	}
-	t.Logf("total pivots: devex=%d dantzig=%d", agg.devex, agg.dantzig)
-	if agg.devex > agg.dantzig {
-		t.Fatalf("devex spent more pivots than Dantzig: %d vs %d", agg.devex, agg.dantzig)
-	}
-}
-
 // TestWarmStartAfterCostChange: re-solving with perturbed costs from the
 // previous basis must reach the same optimum as a cold solve, in fewer
 // iterations (the basis stays primal feasible, so phase 1 is skipped).

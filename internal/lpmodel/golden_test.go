@@ -52,34 +52,6 @@ func TestSparseMatchesDenseOnOverlayLPs(t *testing.T) {
 	}
 }
 
-// TestDevexMatchesDantzigOnOverlayLPs: on the actual overlay relaxations
-// the default devex pricing must reach the same optimum as Dantzig pricing
-// to solver tolerance (the pivot paths differ, so the last few ulps may).
-func TestDevexMatchesDantzigOnOverlayLPs(t *testing.T) {
-	for fi, in := range overlayFixtures() {
-		opts := DefaultOptions(in)
-		pv, _ := Build(in, opts)
-		dv, err := pv.SolveOpts(lp.Options{Pricing: lp.DevexPricing})
-		if err != nil {
-			t.Fatalf("fixture %d: devex: %v", fi, err)
-		}
-		pz, _ := Build(in, opts)
-		dz, err := pz.SolveOpts(lp.Options{Pricing: lp.DantzigPricing})
-		if err != nil {
-			t.Fatalf("fixture %d: dantzig: %v", fi, err)
-		}
-		if dv.Status != lp.Optimal || dz.Status != lp.Optimal {
-			t.Fatalf("fixture %d: status devex=%v dantzig=%v", fi, dv.Status, dz.Status)
-		}
-		if math.Abs(dv.Objective-dz.Objective) > 1e-9*(1+math.Abs(dz.Objective)) {
-			t.Fatalf("fixture %d: devex %.17g != dantzig %.17g", fi, dv.Objective, dz.Objective)
-		}
-		if err := pv.CheckFeasible(dv.X, 1e-6); err != nil {
-			t.Fatalf("fixture %d: devex point infeasible: %v", fi, err)
-		}
-	}
-}
-
 // TestWarmStartAcrossRebuiltModel: a basis captured from one SolveLP call
 // must warm-start a freshly built model of the same instance (the shape is
 // identical even though the Problem object is new) and reach the same

@@ -66,14 +66,10 @@ type Options struct {
 	// (the live engine's workload). Off by default: static solves skip the
 	// dead rows.
 	FixedShape bool
-	// Pricing selects the simplex entering rule (default lp.DevexPricing);
-	// RefactorEvery overrides the refactorization cadence (0 = solver
-	// default); RefactorOnInstall forces warm starts to refactorize instead
-	// of adopting a persisted factorization. All three pass straight through
-	// to lp.Options — they tune the solver, not the model, so sameModelOpts
-	// ignores them.
-	Pricing           lp.Pricing
-	RefactorEvery     int
+	// RefactorOnInstall forces warm starts to refactorize instead of
+	// adopting a persisted factorization. It passes straight through to
+	// lp.Options — it tunes the solver, not the model, so sameModelOpts
+	// ignores it.
 	RefactorOnInstall bool
 }
 
@@ -322,7 +318,7 @@ type FracSolution struct {
 	// accelerate a re-solve of a same-shaped model.
 	Basis *lp.Basis
 	// Stats counts solver factorization events (refactorizations, adopted
-	// factorizations, devex resets) for the epoch telemetry.
+	// factorizations) and recovery rungs for the epoch telemetry.
 	Stats lp.SolveStats
 	// CapDuals[i] is the shadow price of reflector i's capacity row (3) at
 	// the optimum: the rate of change of the optimal cost per unit of the
@@ -366,8 +362,8 @@ func SolveBuilt(in *netmodel.Instance, p *lp.Problem, m *VarMap, warm *lp.Basis)
 	return SolveBuiltOpts(in, p, m, lp.Options{WarmStart: warm})
 }
 
-// SolveBuiltOpts is SolveBuilt with explicit solver options (pricing rule,
-// refactorization cadence, warm start).
+// SolveBuiltOpts is SolveBuilt with explicit solver options (warm start,
+// factorization persistence, events).
 func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Options) (*FracSolution, error) {
 	sol, err := p.SolveOpts(sopts)
 	if err != nil {
@@ -397,8 +393,6 @@ func SolveBuiltOpts(in *netmodel.Instance, p *lp.Problem, m *VarMap, sopts lp.Op
 func (o Options) SolverOptions() lp.Options {
 	return lp.Options{
 		WarmStart:         o.WarmStart,
-		Pricing:           o.Pricing,
-		RefactorEvery:     o.RefactorEvery,
 		RefactorOnInstall: o.RefactorOnInstall,
 	}
 }

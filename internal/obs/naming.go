@@ -38,10 +38,12 @@ const (
 	MStageRuns   = "overlay_stage_runs_total"
 	MLPPivots    = "overlay_lp_pivots_total"
 
-	// Simplex factorization events (internal/lp, the PR-6 counters).
+	// Simplex factorization events and recovery-ladder rungs (internal/lp).
+	// Recoveries carry a rung label (RungTightRefactor, RungDenseFallback,
+	// RungEquilibratedClone).
 	MLPRefactorizations = "overlay_lp_refactorizations_total"
 	MLPFTUpdates        = "overlay_lp_ft_updates_total"
-	MLPDevexResets      = "overlay_lp_devex_resets_total"
+	MLPRecoveries       = "overlay_lp_recoveries_total"
 
 	// Incremental LP rebuild (lpmodel.Patcher).
 	MLPPatchedCells = "overlay_lp_patched_cells_total"
@@ -64,6 +66,13 @@ const (
 	MAggUnits         = "overlay_agg_units"
 	MAggLPFreeEpochs  = "overlay_agg_lp_free_epochs_total"
 	MAggWeightChanges = "overlay_agg_weight_changes_total"
+)
+
+// Rung label values of MLPRecoveries.
+const (
+	RungTightRefactor     = "tight-refactor"
+	RungDenseFallback     = "dense-fallback"
+	RungEquilibratedClone = "equilibrated-clone"
 )
 
 // canonicalFamilies drives both Canonical and the README reference table.
@@ -94,7 +103,7 @@ var canonicalFamilies = []struct {
 	{MLPPivots, KindCounter, "Simplex pivots (all shards, all coordination rounds)."},
 	{MLPRefactorizations, KindCounter, "From-scratch basis factorizations."},
 	{MLPFTUpdates, KindCounter, "Warm starts that adopted a persisted factorization (Forrest-Tomlin resume)."},
-	{MLPDevexResets, KindCounter, "Devex reference-framework resets."},
+	{MLPRecoveries, KindCounter, "LP solves that climbed a recovery rung past the cold solve, labeled by rung (tight-refactor, dense-fallback, equilibrated-clone)."},
 	{MLPPatchedCells, KindCounter, "LP matrix/rhs/objective cells rewritten in place by the incremental rebuild."},
 	{MLPRebuilds, KindCounter, "Full LP builds the incremental rebuild fell back to."},
 	{MShardExtractionsSkipped, KindCounter, "Shards that reused their cached sub-instance (empty routed dirty set)."},
@@ -122,9 +131,10 @@ func Canonical(r *Registry) {
 	for _, f := range canonicalFamilies {
 		r.Describe(f.Name, f.Kind, f.Help, nil)
 		// Instantiate unlabeled families at zero; labeled families
-		// (stage, region) materialize with their first labeled series.
+		// (stage, region, stream, rung) materialize with their first
+		// labeled series.
 		switch f.Name {
-		case MStageWall, MStageRuns, MRegionAvailability, MStreamAvailability:
+		case MStageWall, MStageRuns, MRegionAvailability, MStreamAvailability, MLPRecoveries:
 		default:
 			switch f.Kind {
 			case KindCounter:

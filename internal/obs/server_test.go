@@ -35,7 +35,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	for _, name := range []string{MLPPivots, MLPRefactorizations, MLPFTUpdates, MLPDevexResets, MShardExtractionsSkipped} {
+	for _, name := range []string{MLPPivots, MLPRefactorizations, MLPFTUpdates, MLPRecoveries, MShardExtractionsSkipped} {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %s", name)
 		}

@@ -168,7 +168,7 @@ type SolveResult struct {
 	Vars, Rows  int
 	Basis       *lp.Basis
 	// LPStats counts the shard solve's factorization events
-	// (refactorizations, adopted factorizations, devex resets).
+	// (refactorizations, adopted factorizations) and recovery rungs.
 	LPStats lp.SolveStats
 	// Patch reports what the shard's incremental LP rebuild did (nil when
 	// the shard solved without a Patcher).

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/live"
-	"repro/internal/lp"
 )
 
 func parse(t *testing.T, args ...string) *Flags {
@@ -31,8 +30,7 @@ func TestDefaultsLeaveOptionsAlone(t *testing.T) {
 	if err := f.Apply(&opts); err != nil {
 		t.Fatal(err)
 	}
-	if opts.Pricing != lp.DevexPricing || opts.RefactorEvery != 0 || opts.Shards != 0 ||
-		opts.ShardLevels != 0 || opts.Aggregate != nil {
+	if opts.Shards != 0 || opts.ShardLevels != 0 || opts.Aggregate != nil {
 		t.Fatalf("defaults changed solver options: %+v", opts)
 	}
 	if f.Stickiness != live.WarmStickyPolicy().Stickiness {
@@ -41,14 +39,12 @@ func TestDefaultsLeaveOptionsAlone(t *testing.T) {
 }
 
 func TestApplySetsOptions(t *testing.T) {
-	f := parse(t, "-pricing", "dantzig", "-refactor-every", "40", "-shards", "4",
-		"-shard-levels", "2", "-aggregate", "-stickiness", "0")
+	f := parse(t, "-shards", "4", "-shard-levels", "2", "-aggregate", "-stickiness", "0")
 	var opts core.Options
 	if err := f.Apply(&opts); err != nil {
 		t.Fatal(err)
 	}
-	if opts.Pricing != lp.DantzigPricing || opts.RefactorEvery != 40 || opts.Shards != 4 ||
-		opts.ShardLevels != 2 || opts.Aggregate == nil || f.Stickiness != 0 {
+	if opts.Shards != 4 || opts.ShardLevels != 2 || opts.Aggregate == nil || f.Stickiness != 0 {
 		t.Fatalf("flags not applied: %+v stickiness %g", opts, f.Stickiness)
 	}
 }
@@ -58,9 +54,6 @@ func TestApplyRejects(t *testing.T) {
 		args []string
 		flag string
 	}{
-		{[]string{"-pricing", "steepest"}, "-pricing"},
-		{[]string{"-pricing", "partial"}, "-pricing"},
-		{[]string{"-refactor-every", "-1"}, "-refactor-every"},
 		{[]string{"-shards", "-2"}, "-shards"},
 		{[]string{"-shard-levels", "3", "-shards", "4"}, "-shard-levels"},
 		{[]string{"-shard-levels", "2"}, "-shard-levels"},
@@ -71,6 +64,26 @@ func TestApplyRejects(t *testing.T) {
 		err := parse(t, tc.args...).Apply(&opts)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
 			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
+// TestRemovedFlagsRejected: the solver has one pricing rule and its own
+// refactorization cadence, so -pricing and -refactor-every are not declared
+// and fail to parse like any unknown flag (a usage error, exit 2, in the
+// CLIs).
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-pricing", "dantzig"},
+		{"-pricing", "devex"},
+		{"-refactor-every", "40"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: parse error %v, want one naming %s", args, err, args[0])
 		}
 	}
 }
